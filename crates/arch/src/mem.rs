@@ -6,9 +6,11 @@
 //! a pointer almost always lands in unmapped space and faults, which is why
 //! the exception symptom covers so many failures.
 
+use crate::state::Fingerprint;
 use core::fmt;
+use core::ops::Deref;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Page size in bytes (4 KiB).
 pub const PAGE_SIZE: u64 = 4096;
@@ -27,6 +29,16 @@ pub struct Perm {
 }
 
 impl Perm {
+    /// `true` if these permissions allow `access`.
+    #[inline]
+    fn allows(self, access: AccessKind) -> bool {
+        match access {
+            AccessKind::Load => self.read,
+            AccessKind::Store => self.write,
+            AccessKind::Fetch => self.execute,
+        }
+    }
+
     /// Read-only data.
     pub const R: Perm = Perm { read: true, write: false, execute: false };
     /// Read-write data.
@@ -132,27 +144,47 @@ struct PageSlot {
     digest: Option<u64>,
 }
 
-/// FNV-1a digest of one page: base, permissions, contents. Each page's
-/// digest is independent of every other page's, so whole-image digests
-/// can XOR-combine them (the base address keys each term).
+impl PageSlot {
+    /// Copies `bytes` into the page at `off`, un-sharing the body first
+    /// (copy-on-write). Returns the cached digest the write invalidated,
+    /// if the page was clean.
+    fn write(&mut self, off: usize, bytes: &[u8]) -> Option<u64> {
+        let stale = self.digest.take();
+        Arc::make_mut(&mut self.page).data[off..off + bytes.len()].copy_from_slice(bytes);
+        stale
+    }
+}
+
+/// Digest of one page — base, permissions and the digest of its contents
+/// — through the shared [`Fingerprint`] word mixer. Each page's digest is
+/// independent of every other page's, so whole-image digests can
+/// XOR-combine them (the base address keys each term).
 fn page_digest(base: u64, page: &Page) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(PRIME);
-    };
-    for b in base.to_le_bytes() {
-        eat(b);
-    }
-    eat(page.perm.read as u8);
-    eat(page.perm.write as u8);
-    eat(page.perm.execute as u8);
-    for &b in page.data.iter() {
-        eat(b);
-    }
-    h
+    let mut contents = Fingerprint::new();
+    contents.mix_bytes(&page.data);
+    keyed_page_digest(base, page.perm, contents.finish())
+}
+
+/// A page digest from the page's base, permissions and contents digest.
+fn keyed_page_digest(base: u64, perm: Perm, contents: u64) -> u64 {
+    let mut f = Fingerprint::new();
+    f.mix(base);
+    f.mix(perm.read as u64 | (perm.write as u64) << 1 | (perm.execute as u64) << 2);
+    f.mix(contents);
+    f.finish()
+}
+
+/// [`page_digest`] of a freshly mapped, zero-filled page — most of an
+/// image is untouched stack — without hashing its 4 KiB: the contents
+/// digest of a zero page is computed once per process.
+fn zero_page_digest(base: u64, perm: Perm) -> u64 {
+    static ZERO_CONTENTS: OnceLock<u64> = OnceLock::new();
+    let contents = *ZERO_CONTENTS.get_or_init(|| {
+        let mut f = Fingerprint::new();
+        f.mix_bytes(&[0; PAGE_SIZE as usize]);
+        f.finish()
+    });
+    keyed_page_digest(base, perm, contents)
 }
 
 /// Sparse, permission-checked paged memory.
@@ -162,10 +194,12 @@ fn page_digest(base: u64, page: &Page) -> u64 {
 /// that page, so campaigns fork golden and injected runs at the cost of
 /// the page *table*, not the image.
 ///
-/// The image also maintains an incremental digest: each page caches an
-/// FNV digest of its contents, invalidated on the store path, and
-/// [`Memory::fingerprint`] recombines them in O(dirty pages) — cheap
-/// enough to sample every few dozen cycles during a trial.
+/// The image also maintains an incremental digest: each page caches a
+/// digest of its contents (known without hashing for a freshly mapped
+/// zero page), invalidated on the store path, and
+/// [`Memory::content_hash`] / [`Memory::fingerprint`] recombine them in
+/// O(dirty pages) — cheap enough to sample every few hundred cycles
+/// during a trial.
 ///
 /// # Examples
 ///
@@ -227,22 +261,21 @@ impl Memory {
                 std::collections::btree_map::Entry::Occupied(mut e) => {
                     let slot = e.get_mut();
                     if slot.page.perm != perm {
-                        if let Some(d) = slot.digest.take() {
-                            self.clean_xor ^= d;
-                            self.dirty.push(p);
-                        }
+                        let stale = slot.digest.take();
                         Arc::make_mut(&mut slot.page).perm = perm;
+                        self.invalidate(p, stale);
                     }
                 }
                 std::collections::btree_map::Entry::Vacant(e) => {
+                    let digest = zero_page_digest(p, perm);
                     e.insert(PageSlot {
                         page: Arc::new(Page {
                             data: vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
                             perm,
                         }),
-                        digest: None,
+                        digest: Some(digest),
                     });
-                    self.dirty.push(p);
+                    self.clean_xor ^= digest;
                 }
             }
             if p == last {
@@ -267,6 +300,53 @@ impl Memory {
         self.pages.len()
     }
 
+    /// Drops a page's invalidated digest from the clean XOR and lists the
+    /// page as dirty.
+    #[inline]
+    fn invalidate(&mut self, base: u64, stale: Option<u64>) {
+        if let Some(d) = stale {
+            self.clean_xor ^= d;
+            self.dirty.push(base);
+        }
+    }
+
+    /// Passes `slot` — the page lookup of an access of `len` bytes at
+    /// `addr`, shared or mutable — through the alignment, mapping and
+    /// permission checks, in that order. An aligned power-of-two access
+    /// never crosses a page, so one lookup serves the whole access.
+    #[inline]
+    fn checked<S: Deref<Target = PageSlot>>(
+        slot: Option<S>,
+        addr: u64,
+        len: u64,
+        access: AccessKind,
+    ) -> Result<S, MemError> {
+        if len > 1 && addr & (len - 1) != 0 {
+            return Err(MemError::Misaligned { addr, access });
+        }
+        let slot = slot.ok_or(MemError::Unmapped { addr, access })?;
+        if slot.page.perm.allows(access) {
+            Ok(slot)
+        } else {
+            Err(MemError::Protection { addr, access })
+        }
+    }
+
+    #[inline]
+    fn slot(&self, addr: u64, len: u64, access: AccessKind) -> Result<&PageSlot, MemError> {
+        Self::checked(self.pages.get(&Self::page_base(addr)), addr, len, access)
+    }
+
+    /// Reads `len` (at most 8) bytes at `addr` from its page as a
+    /// zero-extended little-endian value.
+    #[inline]
+    fn read_le(slot: &PageSlot, addr: u64, len: u64) -> u64 {
+        let off = (addr - Self::page_base(addr)) as usize;
+        let mut buf = [0u8; 8];
+        buf[..len as usize].copy_from_slice(&slot.page.data[off..off + len as usize]);
+        u64::from_le_bytes(buf)
+    }
+
     /// Checks that an access of `len` bytes at `addr` is legal without
     /// performing it: alignment, mapping, and permission, in that order.
     ///
@@ -274,42 +354,7 @@ impl Memory {
     ///
     /// The same errors the corresponding load/store/fetch would produce.
     pub fn check(&self, addr: u64, len: u64, access: AccessKind) -> Result<(), MemError> {
-        if len > 1 && addr & (len - 1) != 0 {
-            return Err(MemError::Misaligned { addr, access });
-        }
-        // An aligned power-of-two access never crosses a page.
-        let slot =
-            self.pages.get(&Self::page_base(addr)).ok_or(MemError::Unmapped { addr, access })?;
-        let ok = match access {
-            AccessKind::Load => slot.page.perm.read,
-            AccessKind::Store => slot.page.perm.write,
-            AccessKind::Fetch => slot.page.perm.execute,
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(MemError::Protection { addr, access })
-        }
-    }
-
-    fn read_raw(&self, addr: u64, buf: &mut [u8]) {
-        let base = Self::page_base(addr);
-        let off = (addr - base) as usize;
-        let page = &self.pages[&base].page;
-        buf.copy_from_slice(&page.data[off..off + buf.len()]);
-    }
-
-    fn write_raw(&mut self, addr: u64, buf: &[u8]) {
-        let base = Self::page_base(addr);
-        let off = (addr - base) as usize;
-        let slot = self.pages.get_mut(&base).expect("checked");
-        if let Some(d) = slot.digest.take() {
-            self.clean_xor ^= d;
-            self.dirty.push(base);
-        }
-        // Copy-on-write: un-share the page body before mutating it.
-        let page = Arc::make_mut(&mut slot.page);
-        page.data[off..off + buf.len()].copy_from_slice(buf);
+        self.slot(addr, len, access).map(|_| ())
     }
 
     /// Loads a zero-extended little-endian value of `len` bytes (1, 2, 4
@@ -319,10 +364,8 @@ impl Memory {
     ///
     /// Alignment, mapping and permission errors per [`Memory::check`].
     pub fn load(&self, addr: u64, len: u64) -> Result<u64, MemError> {
-        self.check(addr, len, AccessKind::Load)?;
-        let mut buf = [0u8; 8];
-        self.read_raw(addr, &mut buf[..len as usize]);
-        Ok(u64::from_le_bytes(buf))
+        let slot = self.slot(addr, len, AccessKind::Load)?;
+        Ok(Self::read_le(slot, addr, len))
     }
 
     /// Stores the low `len` bytes of `value` little-endian.
@@ -331,10 +374,24 @@ impl Memory {
     ///
     /// Alignment, mapping and permission errors per [`Memory::check`].
     pub fn store(&mut self, addr: u64, len: u64, value: u64) -> Result<(), MemError> {
-        self.check(addr, len, AccessKind::Store)?;
-        let bytes = value.to_le_bytes();
-        self.write_raw(addr, &bytes[..len as usize]);
-        Ok(())
+        self.replace(addr, len, value).map(|_| ())
+    }
+
+    /// Stores the low `len` bytes of `value` little-endian, like
+    /// [`Memory::store`], and returns the zero-extended value they
+    /// overwrote — the undo record of a retiring store, in one page
+    /// lookup.
+    ///
+    /// # Errors
+    ///
+    /// Alignment, mapping and permission errors per [`Memory::check`].
+    pub fn replace(&mut self, addr: u64, len: u64, value: u64) -> Result<u64, MemError> {
+        let base = Self::page_base(addr);
+        let slot = Self::checked(self.pages.get_mut(&base), addr, len, AccessKind::Store)?;
+        let old = Self::read_le(slot, addr, len);
+        let stale = slot.write((addr - base) as usize, &value.to_le_bytes()[..len as usize]);
+        self.invalidate(base, stale);
+        Ok(old)
     }
 
     /// Convenience 64-bit load.
@@ -354,41 +411,51 @@ impl Memory {
     /// Misalignment, unmapped or non-executable pages report under
     /// [`AccessKind::Fetch`].
     pub fn fetch(&self, pc: u64) -> Result<u32, MemError> {
-        if pc & 3 != 0 {
-            return Err(MemError::Misaligned { addr: pc, access: AccessKind::Fetch });
-        }
-        self.check(pc, 4, AccessKind::Fetch)?;
-        let mut buf = [0u8; 4];
-        self.read_raw(pc, &mut buf);
-        Ok(u32::from_le_bytes(buf))
+        let slot = self.slot(pc, 4, AccessKind::Fetch)?;
+        Ok(Self::read_le(slot, pc, 4) as u32)
     }
 
     /// Writes raw bytes ignoring permissions — used by the program loader
-    /// and by fault injection.
+    /// and by fault injection. One page lookup per page touched.
     ///
     /// # Panics
     ///
     /// Panics if any byte of the destination is unmapped; callers map
     /// regions before initialising them.
     pub fn poke_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (a, chunk) in (addr..).zip(bytes.chunks(1)) {
-            assert!(self.is_mapped(a), "poke to unmapped {a:#x}");
-            self.write_raw(a, chunk);
+        let mut a = addr;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let base = Self::page_base(a);
+            let off = (a - base) as usize;
+            let n = rest.len().min(PAGE_SIZE as usize - off);
+            let slot =
+                self.pages.get_mut(&base).unwrap_or_else(|| panic!("poke to unmapped {a:#x}"));
+            let stale = slot.write(off, &rest[..n]);
+            self.invalidate(base, stale);
+            rest = &rest[n..];
+            a += n as u64;
         }
     }
 
-    /// Reads raw bytes ignoring permissions.
+    /// Reads raw bytes ignoring permissions. One page lookup per page
+    /// touched.
     ///
     /// # Panics
     ///
     /// Panics if unmapped.
     pub fn peek_bytes(&self, addr: u64, out: &mut [u8]) {
-        for (i, b) in out.iter_mut().enumerate() {
-            let a = addr + i as u64;
-            assert!(self.is_mapped(a), "peek of unmapped {a:#x}");
-            let mut tmp = [0u8; 1];
-            self.read_raw(a, &mut tmp);
-            *b = tmp[0];
+        let mut a = addr;
+        let mut rest = out;
+        while !rest.is_empty() {
+            let base = Self::page_base(a);
+            let off = (a - base) as usize;
+            let n = rest.len().min(PAGE_SIZE as usize - off);
+            let slot = self.pages.get(&base).unwrap_or_else(|| panic!("peek of unmapped {a:#x}"));
+            let (head, tail) = rest.split_at_mut(n);
+            head.copy_from_slice(&slot.page.data[off..off + n]);
+            rest = tail;
+            a += n as u64;
         }
     }
 
@@ -424,43 +491,27 @@ impl Memory {
             .count()
     }
 
-    /// FNV-1a digest of the full memory image — bases, permissions and
-    /// page contents in address order. Equal images hash equal, so a
-    /// campaign can compare an end state against a golden reference
-    /// without keeping the golden `Memory` alive (64-bit collisions are
-    /// negligible at campaign scale).
+    /// Digest of the full memory image — bases, permissions and page
+    /// contents. Equal images hash equal, so a campaign can compare an end
+    /// state against a golden reference without keeping the golden
+    /// `Memory` alive (64-bit collisions are negligible at campaign
+    /// scale).
     ///
-    /// This walks the whole image every call; for the per-stride
-    /// reconvergence fingerprint use [`Memory::fingerprint`], which
-    /// reuses cached per-page digests.
+    /// It is the XOR of every page's digest (each keyed by its base and
+    /// permissions) plus a page-count term: the cached clean-page XOR
+    /// combined with fresh digests of only the pages dirtied since the
+    /// last [`Memory::fingerprint`] call. It always equals what
+    /// `fingerprint` would return, whatever the store history.
     pub fn content_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |byte: u8| {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        };
-        for (base, slot) in self.pages.iter() {
-            for b in base.to_le_bytes() {
-                eat(b);
-            }
-            eat(slot.page.perm.read as u8);
-            eat(slot.page.perm.write as u8);
-            eat(slot.page.perm.execute as u8);
-            for &b in slot.page.data.iter() {
-                eat(b);
-            }
-        }
-        h
+        let dirty =
+            self.dirty.iter().fold(0, |x, base| x ^ page_digest(*base, &self.pages[base].page));
+        self.clean_xor ^ dirty ^ (self.pages.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 
-    /// Incremental digest of the full memory image: the XOR of every
-    /// page's digest (each keyed by its base and permissions) plus the
-    /// page count. Stores invalidate only the written page's cached
-    /// digest, so this recomputes O(pages dirtied since the last call)
-    /// rather than re-walking the image — equal images always produce
-    /// equal fingerprints, regardless of store history.
+    /// [`Memory::content_hash`], after caching the digests of the pages
+    /// dirtied since the last call — the per-stride reconvergence
+    /// fingerprint, which then costs O(pages stored to since the last
+    /// call) rather than a walk of the image.
     pub fn fingerprint(&mut self) -> u64 {
         while let Some(base) = self.dirty.pop() {
             let slot = self.pages.get_mut(&base).expect("dirty page is mapped");
@@ -468,13 +519,14 @@ impl Memory {
             slot.digest = Some(d);
             self.clean_xor ^= d;
         }
-        self.clean_xor ^ (self.pages.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        self.content_hash()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn map_rounds_to_pages() {
@@ -626,10 +678,80 @@ mod tests {
         // Same contents, different permissions.
         a.map(0x1000, 0x1000, Perm::R);
         assert_ne!(a.fingerprint(), b.fingerprint());
-        // And the digest cache never drifts from the full walk's verdict.
+        // Restoring the permissions restores both digests; `a`'s page is
+        // dirty here, so its `content_hash` takes the uncached path.
         a.map(0x1000, 0x1000, Perm::RW);
         assert_eq!(a.content_hash(), b.content_hash());
         assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    /// The same image rebuilt from scratch: every page mapped and filled
+    /// in one go, with no store history and a cold digest cache.
+    fn rebuilt(m: &Memory) -> Memory {
+        let mut r = Memory::new();
+        for (base, bytes) in m.pages() {
+            r.map(base, PAGE_SIZE, m.perm_at(base).unwrap());
+            r.poke_bytes(base, bytes);
+        }
+        r
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After any history of maps (fresh and re-permissioned), stores,
+        /// bit flips, clones and cache refreshes, `content_hash` equals
+        /// `fingerprint` for the image and every fork, depends only on the
+        /// image's contents, and moves on a one-byte change to any page.
+        #[test]
+        fn content_hash_is_the_incremental_fingerprint(
+            ops in prop::collection::vec((0u8..5, 0..8 * PAGE_SIZE, any::<u64>()), 1..40),
+        ) {
+            let perms = [Perm::R, Perm::RW, Perm::RX];
+            let mut m = Memory::new();
+            let mut forks = Vec::new();
+            for (kind, off, v) in ops {
+                let addr = 0x10_000 + off;
+                match kind {
+                    0 => m.map(addr, 1 + v % (2 * PAGE_SIZE), perms[(v % 3) as usize]),
+                    1 => {
+                        let len = 1u64 << (v % 4);
+                        let _ = m.store(addr & !(len - 1), len, v);
+                    }
+                    2 if m.is_mapped(addr) => m.flip_bit(addr, (v % 8) as u32),
+                    3 => forks.push(m.clone()),
+                    _ => {
+                        m.fingerprint();
+                    }
+                }
+                let hash = m.content_hash();
+                prop_assert_eq!(hash, m.clone().fingerprint());
+                prop_assert_eq!(hash, rebuilt(&m).content_hash());
+            }
+            for f in forks.iter_mut().chain([&mut m]) {
+                let hash = f.content_hash();
+                prop_assert_eq!(hash, f.fingerprint());
+                prop_assert_eq!(hash, f.content_hash());
+                let bases: Vec<u64> = f.pages().map(|(b, _)| b).collect();
+                for (i, base) in bases.into_iter().enumerate() {
+                    let mut g = f.clone();
+                    g.flip_bit(base + (i as u64 * 977) % PAGE_SIZE, (i % 8) as u32);
+                    prop_assert_ne!(g.content_hash(), hash, "page {:#x}", base);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fresh_pages_start_clean_with_their_true_digest() {
+        for perm in [Perm::R, Perm::RW, Perm::RX] {
+            let page = Page { data: vec![0u8; PAGE_SIZE as usize].into_boxed_slice(), perm };
+            assert_eq!(zero_page_digest(0x7000, perm), page_digest(0x7000, &page));
+        }
+        let mut m = Memory::new();
+        m.map(0x1000, 3 * PAGE_SIZE, Perm::RW);
+        assert!(m.dirty.is_empty(), "a zero page needs no hashing");
+        assert_eq!(m.content_hash(), rebuilt(&m).clone().fingerprint());
     }
 
     #[test]

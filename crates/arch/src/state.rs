@@ -12,7 +12,8 @@
 //!   "~46,000 bits of interesting state"),
 //! * [`BitFlipper`] — flip exactly one globally-indexed bit,
 //! * [`StateHasher`] — order-sensitive digest for golden-run masking
-//!   comparison,
+//!   comparison, folding each field as one word into the shared
+//!   [`Fingerprint`] word mixer,
 //! * [`RangeRecorder`] — build the [`StateCatalog`] of named regions with
 //!   latch/RAM classification and parity/ECC protection domains (§5.2.2's
 //!   "low hanging fruit").
@@ -175,96 +176,130 @@ impl StateVisitor for BitFlipper {
     }
 }
 
-/// FNV-1a digest of the visited state, order- and width-sensitive.
-#[derive(Debug)]
+/// Order- and width-sensitive digest of the visited state — the
+/// golden-run masking comparison (`Pipeline::state_hash` in
+/// `restore-uarch`).
+///
+/// Each field is folded into a [`Fingerprint`] as one word, its value
+/// tagged with its declared width, and each region start as one word; the
+/// hasher is just the visitor front end of that word mixer.
+#[derive(Debug, Default)]
 pub struct StateHasher {
-    hash: u64,
+    words: Fingerprint,
 }
 
 impl StateHasher {
     /// Fresh hasher.
     pub fn new() -> StateHasher {
-        StateHasher { hash: 0xcbf2_9ce4_8422_2325 }
+        StateHasher::default()
     }
 
     /// The digest so far.
     pub fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-}
-
-impl Default for StateHasher {
-    fn default() -> Self {
-        StateHasher::new()
+        self.words.finish()
     }
 }
 
 impl StateVisitor for StateHasher {
     fn region(&mut self, name: &'static str, _kind: StateKind) {
-        self.mix(name.len() as u64);
+        self.words.mix(name.len() as u64);
     }
     fn word(&mut self, value: &mut u64, width: u32, _class: FieldClass) {
         debug_assert!(width == 64 || *value < (1u64 << width), "field exceeds declared width");
-        self.mix(*value ^ ((width as u64) << 56));
+        self.words.mix(*value ^ ((width as u64) << 56));
     }
 }
 
-/// Order-sensitive word accumulator for the full-machine reconvergence
-/// fingerprint (`Pipeline::fingerprint` in `restore-uarch`).
+/// Seeds of the four [`Fingerprint`] lanes: the splitmix64 increment and
+/// the first three splitmix64 outputs from seed 0.
+const LANE_SEEDS: [u64; 4] =
+    [0x9e37_79b9_7f4a_7c15, 0xe220_a839_7b1d_cdaf, 0x6e78_9e6a_a1b9_65f4, 0x06c4_5d18_8009_454f];
+
+/// One splitmix-style round: folds `v` into the lane accumulator `acc`.
+/// For a fixed `v` it is a bijection of `acc`, and for a fixed `acc` a
+/// bijection of `v`, so changing any single folded word always changes
+/// the lane — no single-word change can cancel.
+#[inline(always)]
+fn lane_step(acc: u64, v: u64) -> u64 {
+    let mut x = acc ^ v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^ (x >> 27)
+}
+
+/// Order-sensitive 64-bit word digest — the one word mixer behind every
+/// state digest: [`StateHasher`], the full-machine reconvergence
+/// fingerprints (`Pipeline::fingerprint` in `restore-uarch`,
+/// [`crate::Cpu::fingerprint`]) and the per-page memory digests
+/// ([`crate::Memory::fingerprint`]).
 ///
-/// Unlike [`StateHasher`] — which byte-feeds FNV-1a because it doubles as
-/// the end-of-trial masking digest and changes there are cheap — this is
-/// sampled every few dozen cycles over tens of thousands of words
-/// (predictor tables, cache tag arrays), so it mixes one multiply per
-/// word (splitmix64-style avalanche) instead of eight FNV rounds.
+/// Word `k` is folded into lane `k % 4` with one splitmix-style round, so
+/// the four lanes form independent dependency chains that a superscalar
+/// core overlaps; [`Fingerprint::finish`] folds the word count and the
+/// lanes in order through the same round plus a final avalanche. Every
+/// step is a bijection of the state it updates, so two word sequences of
+/// equal length that differ in exactly one word always digest
+/// differently. Digests are compared only within one process and never
+/// persisted, so the constants carry no compatibility weight.
 #[derive(Debug)]
 pub struct Fingerprint {
-    hash: u64,
+    lanes: [u64; 4],
+    words: u64,
 }
 
 impl Fingerprint {
     /// Fresh accumulator.
     pub fn new() -> Fingerprint {
-        Fingerprint { hash: 0x9e37_79b9_7f4a_7c15 }
+        Fingerprint { lanes: LANE_SEEDS, words: 0 }
     }
 
     /// Folds one word into the digest; ordering matters.
     #[inline]
     pub fn mix(&mut self, v: u64) {
-        let mut x = self.hash ^ v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        self.hash = x;
+        let lane = (self.words & 3) as usize;
+        self.lanes[lane] = lane_step(self.lanes[lane], v);
+        self.words += 1;
     }
 
-    /// Folds a byte slice in as packed little-endian words.
+    /// Folds a byte slice in as packed little-endian words — exactly as
+    /// if each word were passed to [`Fingerprint::mix`] in turn, but four
+    /// words per step once the next word falls in lane 0.
     #[inline]
     pub fn mix_bytes(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.mix(u64::from_le_bytes(c.try_into().expect("chunk of 8")));
+        let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("chunk of 8"));
+        let mut rest = bytes;
+        while self.words & 3 != 0 && rest.len() >= 8 {
+            self.mix(word(&rest[..8]));
+            rest = &rest[8..];
         }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
+        let mut blocks = rest.chunks_exact(32);
+        for b in &mut blocks {
+            for (lane, c) in self.lanes.iter_mut().zip(b.chunks_exact(8)) {
+                *lane = lane_step(*lane, word(c));
+            }
+            self.words += 4;
+        }
+        let mut words = blocks.remainder().chunks_exact(8);
+        for c in &mut words {
+            self.mix(word(c));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
             let mut last = [0u8; 8];
-            last[..rest.len()].copy_from_slice(rest);
+            last[..tail.len()].copy_from_slice(tail);
             // Tag the tail with its length so `[1]` and `[1, 0]` differ.
-            self.mix(u64::from_le_bytes(last) ^ ((rest.len() as u64) << 56));
+            self.mix(u64::from_le_bytes(last) ^ ((tail.len() as u64) << 56));
         }
     }
 
     /// The digest so far.
     pub fn finish(&self) -> u64 {
-        self.hash
+        let mut h = lane_step(0x5245_5354_4f52_4546, self.words); // "RESTOREF"
+        for &lane in &self.lanes {
+            h = lane_step(h, lane);
+        }
+        h = (h ^ (h >> 31)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 29)
     }
 }
 
@@ -970,6 +1005,60 @@ mod tests {
         assert_eq!(digest(&[1, 2, 3]), digest(&[1, 2, 3]));
         assert_ne!(digest(&[1, 2, 3]), digest(&[3, 2, 1]));
         assert_ne!(digest(&[0]), digest(&[0, 0]));
+    }
+
+    #[test]
+    fn fingerprint_bytes_fold_exactly_like_words() {
+        // The four-words-per-step block path must agree with word-by-word
+        // mixing at every lane offset and every tail length.
+        let bytes: Vec<u8> = (0..200u32).map(|i| (i * 37 % 251) as u8).collect();
+        for lead in 0..5 {
+            for len in [0, 7, 8, 31, 32, 33, 64, 95, 200] {
+                let mut block = Fingerprint::new();
+                let mut words = Fingerprint::new();
+                for w in 0..lead {
+                    block.mix(w);
+                    words.mix(w);
+                }
+                block.mix_bytes(&bytes[..len]);
+                let mut chunks = bytes[..len].chunks_exact(8);
+                for c in &mut chunks {
+                    words.mix(u64::from_le_bytes(c.try_into().unwrap()));
+                }
+                let tail = chunks.remainder();
+                if !tail.is_empty() {
+                    let mut last = [0u8; 8];
+                    last[..tail.len()].copy_from_slice(tail);
+                    words.mix(u64::from_le_bytes(last) ^ ((tail.len() as u64) << 56));
+                }
+                assert_eq!(block.finish(), words.finish(), "lead {lead}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_detects_every_single_word_change() {
+        let base: Vec<u64> = (0..11u64).map(|i| i.wrapping_mul(0x0123_4567_89ab_cdef)).collect();
+        let digest = |words: &[u64]| {
+            let mut f = Fingerprint::new();
+            words.iter().for_each(|&w| f.mix(w));
+            f.finish()
+        };
+        let want = digest(&base);
+        for i in 0..base.len() {
+            for bit in 0..64 {
+                let mut w = base.clone();
+                w[i] ^= 1 << bit;
+                assert_ne!(digest(&w), want, "word {i}, bit {bit}");
+            }
+        }
+        // Words in different lanes swapped, and in the same lane swapped.
+        let mut w = base.clone();
+        w.swap(0, 1);
+        assert_ne!(digest(&w), want);
+        let mut w = base.clone();
+        w.swap(0, 4);
+        assert_ne!(digest(&w), want);
     }
 
     #[test]

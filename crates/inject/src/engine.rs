@@ -117,7 +117,11 @@ pub struct CampaignStats {
     /// shadow ran.
     pub shadow_runs_avoided: u64,
     /// Trials served from the on-disk trial store without simulating
-    /// anything (content-addressed cache hits).
+    /// anything (content-addressed cache hits). This counts stored
+    /// *records*, while `trials` counts classified outcomes: an arch
+    /// trial whose victim instruction writes no result is stored but
+    /// yields no outcome, so on the arch campaigns `trials_cached` can
+    /// exceed `trials`.
     pub trials_cached: u64,
     /// Planned window cycles those cached trials replayed from their
     /// records (the recording run's `simulated + saved + pruned`), so

@@ -43,7 +43,7 @@ use crate::uarch_campaign::UarchCampaignConfig;
 use crate::uarch_trial::{drain, EndState, GoldenRun, UarchTrial};
 use restore_uarch::state::width_mask;
 use restore_uarch::{
-    DeadStatePerturber, FaultState, OccupancyRecorder, Pipeline, StateCatalog, Stop,
+    CycleReport, DeadStatePerturber, FaultState, OccupancyRecorder, Pipeline, StateCatalog, Stop,
 };
 use restore_workloads::WorkloadId;
 
@@ -109,13 +109,14 @@ impl PointOracle {
         assert_eq!(perturb.visited(), self.live.len(), "catalog drifted since capture");
         // Mirror run_trial's window loop and end-of-trial drain exactly:
         // `written` must describe the state the classifier hashes.
+        let mut r = CycleReport::default();
         for _ in 0..cfg.window_cycles {
             if shadow.status() != Stop::Running {
                 break;
             }
-            shadow.cycle();
+            shadow.cycle_into(&mut r);
         }
-        drain(&mut shadow, cfg.drain_cycles);
+        drain(&mut shadow, cfg.drain_cycles, &mut r);
 
         // Soundness self-checks: dead state must not have steered the
         // live computation.

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use restore_arch::Retired;
 use restore_core::{DetectorSet, Observation, RetiredCompare, SourceSet, SymptomKind};
-use restore_uarch::{FaultState, OccupancyRecorder, Pipeline, StateCatalog, Stop};
+use restore_uarch::{CycleReport, FaultState, OccupancyRecorder, Pipeline, StateCatalog, Stop};
 use restore_workloads::WorkloadId;
 use std::collections::BTreeSet;
 
@@ -161,9 +161,11 @@ pub(crate) struct GoldenRun {
     all_events: BTreeSet<(u64, u64)>,
     end_state_hash: u64,
     pub(crate) end_regs: [u64; 32],
-    /// Digest of the end memory image ([`restore_arch::Memory::content_hash`]);
-    /// keeping the full golden `Memory` alive per point was the campaign's
-    /// largest resident allocation.
+    /// Digest of the end memory image ([`restore_arch::Memory::content_hash`],
+    /// the incremental per-page digest: O(pages dirtied since the last
+    /// stride fingerprint), not a walk of the image); keeping the full
+    /// golden `Memory` alive per point was the campaign's largest
+    /// resident allocation.
     pub(crate) end_mem_hash: u64,
     /// Status after the end-of-window drain (a trial cut at reconvergence
     /// back-fills its ending from this).
@@ -189,16 +191,17 @@ pub(crate) struct GoldenRun {
     pub(crate) end_fields: Vec<u64>,
 }
 
-/// Stops fetch and runs until the machine is empty (or `max` cycles).
-/// An empty machine must stop cycling before the retirement watchdog
-/// misreads the idle period as a deadlock.
-pub(crate) fn drain(pipe: &mut Pipeline, max: u64) {
+/// Stops fetch and runs until the machine is empty (or `max` cycles),
+/// clocking through the caller's scratch `report`. An empty machine must
+/// stop cycling before the retirement watchdog misreads the idle period
+/// as a deadlock.
+pub(crate) fn drain(pipe: &mut Pipeline, max: u64, report: &mut CycleReport) {
     pipe.set_fetch_enabled(false);
     for _ in 0..max {
         if pipe.status() != Stop::Running || pipe.in_flight() == 0 {
             break;
         }
-        pipe.cycle();
+        pipe.cycle_into(report);
     }
     pipe.set_fetch_enabled(true);
 }
@@ -223,12 +226,13 @@ pub(crate) fn golden_run(at: &Pipeline, cfg: &UarchCampaignConfig) -> GoldenRun 
     let mut fingerprints =
         Vec::with_capacity(cfg.window_cycles.checked_div(stride).unwrap_or(0) as usize);
     let mut window_executed = 0u64;
+    let mut r = CycleReport::default();
     for i in 0..cfg.window_cycles {
         if g.status() != Stop::Running {
             break;
         }
         window_executed += 1;
-        let r = g.cycle();
+        g.cycle_into(&mut r);
         assert!(r.exception.is_none(), "golden run raised an exception");
         assert!(!r.deadlock, "golden run deadlocked");
         for m in &r.mispredicts {
@@ -239,12 +243,12 @@ pub(crate) fn golden_run(at: &Pipeline, cfg: &UarchCampaignConfig) -> GoldenRun 
                 }
             }
         }
-        trace.extend(r.retired);
+        trace.extend_from_slice(&r.retired);
         if stride > 0 && (i + 1) % stride == 0 && g.status() == Stop::Running {
             fingerprints.push(g.fingerprint());
         }
     }
-    drain(&mut g, cfg.drain_cycles);
+    drain(&mut g, cfg.drain_cycles, &mut r);
     let end_fields = if cfg.prune != PruneMode::Off {
         let mut rec = OccupancyRecorder::new();
         g.visit_state(&mut rec);
@@ -341,13 +345,14 @@ pub(crate) fn run_trial(
     let stride = cfg.cutoff_stride;
     let mut executed = 0u64;
     let mut cut = false;
+    let mut r = CycleReport::default();
     for i in 0..cfg.window_cycles {
         if pipe.status() != Stop::Running {
             break;
         }
         executed += 1;
         let lat_now = |p: &Pipeline| p.retired() - base_retired;
-        let r = pipe.cycle();
+        pipe.cycle_into(&mut r);
         for m in &r.mispredicts {
             if !m.conditional {
                 continue;
@@ -451,7 +456,7 @@ pub(crate) fn run_trial(
     trial.end = if terminated {
         EndState::Terminated
     } else {
-        drain(&mut pipe, cfg.drain_cycles);
+        drain(&mut pipe, cfg.drain_cycles, &mut r);
         match pipe.status() {
             Stop::Deadlock => {
                 // Saturation during the drain still counts.

@@ -1083,10 +1083,26 @@ pub fn map_path(dir: &Path, domain: &str, workload: WorkloadId, digest: u64) -> 
 /// Writes `v` to `path` atomically enough for concurrent shard writers:
 /// full write to a process-unique temp name, then rename. Every shard
 /// computes byte-identical content, so last-rename-wins is harmless.
+/// Creates the map directory if it is absent. A failure costs only a
+/// rebuild in the next process, so it is reported on stderr, naming the
+/// path, rather than returned; no temp file is left behind.
 fn persist(path: &Path, v: &Json) {
+    if let Some(dir) = path.parent() {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("maskmap: cannot create map directory {}: {e}", dir.display());
+            return;
+        }
+    }
     let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
-    if std::fs::write(&tmp, v.render()).is_ok() {
-        let _ = std::fs::rename(&tmp, path);
+    let result = std::fs::write(&tmp, v.render())
+        .map_err(|e| format!("cannot write {}: {e}", tmp.display()))
+        .and_then(|()| {
+            std::fs::rename(&tmp, path)
+                .map_err(|e| format!("cannot rename {} to {}: {e}", tmp.display(), path.display()))
+        });
+    if let Err(msg) = result {
+        eprintln!("maskmap: {msg}");
+        let _ = std::fs::remove_file(&tmp);
     }
 }
 
@@ -1348,6 +1364,23 @@ mod tests {
         let am = arch_map(WorkloadId::Bzip2x, scale, Some(&dir));
         assert!(map_path(&dir, "arch", WorkloadId::Bzip2x, arch_map_digest(scale)).exists());
         assert!(Arc::ptr_eq(&am, &arch_map(WorkloadId::Bzip2x, scale, Some(&dir))));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_persist_leaves_no_temp_file() {
+        let dir = std::env::temp_dir()
+            .join(format!("restore-maskmap-persist-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A non-empty directory where the map file should go makes the
+        // rename fail after the temp file was written.
+        let path = dir.join("maskmap-blocked.json");
+        std::fs::create_dir_all(path.join("occupied")).unwrap();
+        persist(&path, &Json::UInt(1));
+        let left: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, vec![std::ffi::OsString::from("maskmap-blocked.json")]);
+        assert!(path.is_dir(), "the blocking directory is untouched");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -62,6 +62,35 @@ pub struct CycleReport {
     pub dtlb_misses: u32,
 }
 
+impl CycleReport {
+    /// Empties the report for the next clock, keeping its vectors'
+    /// capacity ([`Pipeline::cycle_into`] reuses one report per loop).
+    fn clear(&mut self) {
+        let CycleReport {
+            retired,
+            store_undo,
+            exception,
+            mispredicts,
+            deadlock,
+            halted,
+            sync_retired,
+            output,
+            dcache_misses,
+            dtlb_misses,
+        } = self;
+        retired.clear();
+        store_undo.clear();
+        *exception = None;
+        mispredicts.clear();
+        *deadlock = false;
+        *halted = false;
+        *sync_retired = false;
+        output.clear();
+        *dcache_misses = 0;
+        *dtlb_misses = 0;
+    }
+}
+
 /// Why the pipeline stopped advancing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stop {
@@ -131,6 +160,32 @@ impl Default for BobEntry {
 }
 
 const EXEC_SLOTS: usize = 16;
+
+/// Largest scheduler the issue stage's stack buffer holds (slot indices
+/// are bytes).
+const MAX_SCHED_ENTRIES: usize = 256;
+
+/// Indices of the slots `i < len` that `pick` selects, oldest (lowest
+/// `seq`) first, sorted in a stack buffer of `N` slots so the per-cycle
+/// stages never allocate. Equal sequence numbers — possible only in
+/// fault-corrupted state — keep slot order, exactly as a stable sort of
+/// the ascending slot list would.
+fn oldest_first<const N: usize, P, S>(len: usize, pick: P, seq: S) -> ([u8; N], usize)
+where
+    P: Fn(usize) -> bool,
+    S: Fn(usize) -> u64,
+{
+    let mut order = [0u8; N];
+    let mut n = 0;
+    for i in 0..len {
+        if pick(i) {
+            order[n] = i as u8;
+            n += 1;
+        }
+    }
+    order[..n].sort_unstable_by_key(|&i| (seq(i as usize), i));
+    (order, n)
+}
 
 /// The out-of-order pipeline.
 ///
@@ -237,7 +292,15 @@ impl Pipeline {
     /// Builds a pipeline with `program` loaded (same memory layout as
     /// [`restore_arch::Cpu::new`]) and architectural registers in physical
     /// registers 0–31.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.sched_entries` exceeds 256.
     pub fn new(cfg: UarchConfig, program: &Program) -> Pipeline {
+        assert!(
+            cfg.sched_entries <= MAX_SCHED_ENTRIES,
+            "at most {MAX_SCHED_ENTRIES} scheduler entries are supported"
+        );
         let mut mem = Memory::new();
         let text_bytes: Vec<u8> = program.text.iter().flat_map(|w| w.to_le_bytes()).collect();
         mem.map(program.text_base, text_bytes.len().max(4) as u64, Perm::RX);
@@ -484,20 +547,29 @@ impl Pipeline {
     /// [`Stop::Running`], further calls return empty reports.
     pub fn cycle(&mut self) -> CycleReport {
         let mut report = CycleReport::default();
+        self.cycle_into(&mut report);
+        report
+    }
+
+    /// Advances one clock like [`Pipeline::cycle`], writing what happened
+    /// into `report` (cleared first) so a loop can reuse one report's
+    /// allocations across clocks.
+    pub fn cycle_into(&mut self, report: &mut CycleReport) {
+        report.clear();
         if self.status != Stop::Running {
-            return report;
+            return;
         }
         self.cycle += 1;
         let (dc0, dt0) = (self.dcache.misses, self.dtlb.misses);
 
-        self.stage_retire(&mut report);
+        self.stage_retire(report);
         if self.status != Stop::Running {
             report.dcache_misses = (self.dcache.misses - dc0) as u32;
             report.dtlb_misses = (self.dtlb.misses - dt0) as u32;
-            return report;
+            return;
         }
         self.stage_lsq();
-        self.stage_execute(&mut report);
+        self.stage_execute(report);
         self.stage_issue();
         self.stage_rename();
         self.stage_decode();
@@ -510,7 +582,6 @@ impl Pipeline {
         }
         report.dcache_misses = (self.dcache.misses - dc0) as u32;
         report.dtlb_misses = (self.dtlb.misses - dt0) as u32;
-        report
     }
 
     // ---------------------------------------------------------------
@@ -611,12 +682,9 @@ impl Pipeline {
                     }
                     let s = self.stq.pop_front().expect("checked");
                     let len = 1u64 << (s.width_log2 & 3);
-                    let mut old = [0u8; 8];
-                    match self.mem.check(s.addr, len, AccessKind::Store) {
-                        Ok(()) => {
-                            self.mem.peek_bytes(s.addr, &mut old[..len as usize]);
-                            self.mem.store(s.addr, len, s.data).expect("checked store");
-                            report.store_undo.push((s.addr, len, u64::from_le_bytes(old)));
+                    match self.mem.replace(s.addr, len, s.data) {
+                        Ok(old) => {
+                            report.store_undo.push((s.addr, len, old));
                             retired.mem = Some(MemEffect {
                                 addr: s.addr,
                                 len,
@@ -849,12 +917,14 @@ impl Pipeline {
     fn stage_execute(&mut self, report: &mut CycleReport) {
         // Collect finishing slots oldest-first so an older mispredicting
         // branch squashes younger work resolving in the same cycle.
-        let mut finishing: Vec<usize> = (0..self.exec.len())
-            .filter(|&i| self.exec[i].valid && self.exec[i].finish_at <= self.cycle)
-            .collect();
-        finishing.sort_by_key(|&i| self.exec[i].seq);
+        let (finishing, n) = oldest_first::<EXEC_SLOTS, _, _>(
+            self.exec.len(),
+            |i| self.exec[i].valid && self.exec[i].finish_at <= self.cycle,
+            |i| self.exec[i].seq,
+        );
 
-        for slot in finishing {
+        for &slot in &finishing[..n] {
+            let slot = slot as usize;
             let e = self.exec[slot];
             if !self.exec[slot].valid {
                 continue; // squashed by an older branch this cycle
@@ -1083,13 +1153,16 @@ impl Pipeline {
                 }
             }
         }
-        let mut ready: Vec<usize> =
-            (0..self.sched.len()).filter(|&i| self.sched[i].ready()).collect();
-        ready.sort_by_key(|&i| self.sched[i].seq);
+        let (ready, n) = oldest_first::<MAX_SCHED_ENTRIES, _, _>(
+            self.sched.len(),
+            |i| self.sched[i].ready(),
+            |i| self.sched[i].seq,
+        );
 
         let (mut alu, mut br, mut agen) =
             (self.cfg.alu_units, self.cfg.br_units, self.cfg.agen_units);
-        for i in ready {
+        for &i in &ready[..n] {
+            let i = i as usize;
             let s = self.sched[i];
             let role = Role::from_bits(s.role);
             let unit = match role {
@@ -1665,5 +1738,22 @@ impl Pipeline {
             Stop::Halted => 3,
         });
         f.finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::oldest_first;
+
+    #[test]
+    fn oldest_first_orders_like_a_stable_sort_by_seq() {
+        // Slot 3 is not picked; slots 1 and 4 share a (corrupted) seq.
+        let seqs = [9u64, 5, 7, 1, 5, 2];
+        let (order, n) = oldest_first::<8, _, _>(seqs.len(), |i| i != 3, |i| seqs[i]);
+        let mut want: Vec<usize> = (0..seqs.len()).filter(|&i| i != 3).collect();
+        want.sort_by_key(|&i| seqs[i]);
+        let got: Vec<usize> = order[..n].iter().map(|&i| i as usize).collect();
+        assert_eq!(got, want);
+        assert_eq!(got, [5, 1, 4, 2, 0]);
     }
 }

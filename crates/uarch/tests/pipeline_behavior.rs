@@ -4,7 +4,7 @@
 
 use restore_arch::Exception;
 use restore_isa::{layout, Asm, Reg};
-use restore_uarch::{Pipeline, Stop, UarchConfig};
+use restore_uarch::{CycleReport, Pipeline, Stop, UarchConfig};
 use restore_workloads::{Scale, WorkloadId};
 
 fn run_until_stop(pipe: &mut Pipeline, max_cycles: u64) -> Stop {
@@ -236,6 +236,31 @@ fn clone_fork_runs_identically() {
     assert_eq!(a.retired(), b.retired());
     assert_eq!(a.state_hash(), b.state_hash());
     assert_eq!(a.arch_regs(), b.arch_regs());
+}
+
+/// A report reused through `cycle_into` reads, every clock, exactly as
+/// the fresh report `cycle` returns — nothing of an earlier clock leaks
+/// into a later one.
+#[test]
+fn reused_report_matches_fresh_reports() {
+    let p = WorkloadId::Bzip2x.build(Scale::smoke());
+    let mut a = Pipeline::new(UarchConfig::default(), &p);
+    let mut b = a.clone();
+    let mut reused = CycleReport::default();
+    let (mut mispredicts, mut stores, mut outputs) = (0, 0, 0);
+    while a.status() == Stop::Running && a.cycles() < 200_000 {
+        let fresh = a.cycle();
+        b.cycle_into(&mut reused);
+        assert_eq!(format!("{fresh:?}"), format!("{reused:?}"), "cycle {}", a.cycles());
+        mispredicts += usize::from(!fresh.mispredicts.is_empty());
+        stores += usize::from(!fresh.store_undo.is_empty());
+        outputs += usize::from(!fresh.output.is_empty());
+    }
+    assert_eq!(a.status(), Stop::Halted);
+    assert!(mispredicts > 0 && stores > 0 && outputs > 0, "{mispredicts} {stores} {outputs}");
+    // A stopped machine clears the reused report too.
+    b.cycle_into(&mut reused);
+    assert_eq!(format!("{:?}", a.cycle()), format!("{reused:?}"));
 }
 
 #[test]
