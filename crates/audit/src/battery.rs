@@ -1,19 +1,20 @@
 //! Runtime per-field digest perturbation battery.
 //!
-//! The static pass ([`crate::digests`]) proves every config field is
-//! *mentioned* by a digest body or exempted; this battery proves the
-//! digest *behaves*: perturbing a shaped field must change the digest
-//! value, perturbing a neutral field must not. Together they close both
-//! failure modes — a fold that exists but is value-insensitive (static
-//! pass blind, battery catches) and a field nobody remembered at all
-//! (battery table blind until completeness fires, static pass catches).
+//! The campaign digest functions destructure their configs with no `..`
+//! rest pattern, so the compiler already proves every field is
+//! *classified*: folded, or bound to `_` with its reason. This battery
+//! proves the digest *behaves*: perturbing a shaped field must change
+//! the digest value, perturbing a neutral field must not. It catches
+//! what the pattern cannot — a fold that exists but is value-insensitive,
+//! or a field bound to `_` that still reaches the digest some other way.
 //!
 //! The tables below replace the hand-written
 //! `campaign_digest_tracks_result_shaping_fields_only` pin tests that
 //! previously lived in `uarch_campaign.rs`/`arch_campaign.rs`; the
 //! historical digest values those tests implicitly froze are pinned
 //! explicitly as [`restore_core::PINNED_UARCH_DEFAULT_DIGEST`] and
-//! [`restore_core::PINNED_ARCH_DEFAULT_DIGEST`] and asserted in
+//! [`restore_core::PINNED_ARCH_DEFAULT_DIGEST`] and asserted, together
+//! with each config's shaped/neutral split, in
 //! `tests/digest_battery.rs`.
 
 use restore_inject::{
@@ -60,8 +61,7 @@ impl BatteryReport {
 /// Runs one config type through its perturbation table against its
 /// digest function. `declared` is the full field list of the struct;
 /// a declared field with no perturbation is a completeness failure, so
-/// adding a config field without extending the table breaks the build
-/// exactly like forgetting the digest fold would.
+/// a field listed there but missing from the table fails the battery.
 pub fn run_battery<C: Clone>(
     type_name: &'static str,
     base: &C,
@@ -78,7 +78,7 @@ pub fn run_battery<C: Clone>(
         if !perturbations.iter().any(|p| p.field == *field) {
             failures.push(format!(
                 "{type_name}.{field}: declared field has no perturbation — extend the \
-                 battery table (and the digest fold or `// digest: neutral` exemption)"
+                 battery table to match the field's class in the digest's pattern"
             ));
         }
     }
@@ -322,8 +322,7 @@ pub fn arch_battery(base: &ArchCampaignConfig) -> BatteryReport {
     )
 }
 
-/// Both batteries against the default configs — the CLI's `--digests`
-/// runtime leg.
+/// Both batteries against the default configs.
 pub fn default_batteries() -> Vec<BatteryReport> {
     vec![
         uarch_battery(&UarchCampaignConfig::default()),

@@ -1,20 +1,14 @@
 //! `restore-audit` CLI.
 //!
 //! ```text
-//! restore-audit [--check] [--digests] [--determinism] [--census]
-//!               [--contract] [--json] [--root DIR]
+//! restore-audit [--check] [--determinism] [--census] [--contract]
+//!               [--json] [--root DIR]
 //! ```
 //!
 //! * `--check` (default): run the static field-coverage scanner over
 //!   `crates/uarch/src`, `crates/arch/src`, `crates/snapshot/src`,
 //!   `crates/store/src`, `crates/maskmap/src`, `crates/core/src` and
 //!   `crates/inject/src`; exit 1 on any finding.
-//! * `--digests`: run the static digest-coverage scanner over the
-//!   crates that define campaign digests (`core`, `inject`, `bench`)
-//!   plus the per-field runtime perturbation battery; exit 1 if any
-//!   config field is neither folded nor exempted, any exemption is
-//!   malformed or lying, or any perturbation breaks the
-//!   shaped-iff-rekeys contract.
 //! * `--determinism`: run the nondeterminism lint over the campaign,
 //!   bench, store, snapshot, maskmap and perf crate roots; exit 1 on
 //!   any unexempted banned construct.
@@ -22,28 +16,29 @@
 //!   default-config pipeline and the architectural CPU; exit 1 on any
 //!   violation.
 //! * `--census`: print the per-region bit census of both machines.
-//! * `--json`: machine-readable output for `--check`/`--digests`/
-//!   `--determinism`/`--census`.
+//! * `--json`: machine-readable output for `--check`/`--determinism`/
+//!   `--census`.
 //! * `--root DIR`: repository root to scan (defaults to the workspace
 //!   this binary was built from).
+//!
+//! Cache-key coverage has no flag: the campaign digest functions
+//! destructure their configs exhaustively, so the compiler rejects an
+//! unclassified field, and `tests/digest_battery.rs` checks at runtime
+//! that exactly the shaped fields rekey.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use restore_audit::battery::default_batteries;
 use restore_audit::contract::check_contract;
 use restore_audit::scanner::{Finding, Severity};
-use restore_audit::{
-    analyze_determinism_dirs, analyze_digest_dirs, analyze_dirs, cpu_census, pipeline_census,
-};
+use restore_audit::{analyze_determinism_dirs, analyze_dirs, cpu_census, pipeline_census};
 use restore_uarch::{Pipeline, UarchConfig};
 use restore_workloads::{Scale, WorkloadId};
 
 struct Options {
     check: bool,
-    digests: bool,
     determinism: bool,
     census: bool,
     contract: bool,
@@ -53,8 +48,8 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: restore-audit [--check] [--digests] [--determinism] [--census] [--contract] \
-         [--json] [--root DIR]"
+        "usage: restore-audit [--check] [--determinism] [--census] [--contract] [--json] \
+         [--root DIR]"
     );
     std::process::exit(2);
 }
@@ -63,7 +58,6 @@ fn parse_args() -> Options {
     let default_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut opts = Options {
         check: false,
-        digests: false,
         determinism: false,
         census: false,
         contract: false,
@@ -74,7 +68,6 @@ fn parse_args() -> Options {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--check" => opts.check = true,
-            "--digests" => opts.digests = true,
             "--determinism" => opts.determinism = true,
             "--census" => opts.census = true,
             "--contract" => opts.contract = true,
@@ -90,7 +83,7 @@ fn parse_args() -> Options {
             }
         }
     }
-    if !opts.check && !opts.digests && !opts.determinism && !opts.census && !opts.contract {
+    if !opts.check && !opts.determinism && !opts.census && !opts.contract {
         opts.check = true;
     }
     opts
@@ -122,19 +115,7 @@ fn run_check(opts: &Options) -> bool {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"severity\":\"{}\",\"kind\":\"{}\",\"type\":\"{}\",\"field\":\"{}\",\
-                 \"file\":\"{}\",\"line\":{}}}",
-                match f.severity {
-                    Severity::Error => "error",
-                    Severity::Note => "note",
-                },
-                f.kind,
-                f.type_name,
-                f.field,
-                f.file.display(),
-                f.line,
-            ));
+            out.push_str(&finding_json(f));
         }
         out.push_str(&format!(
             "],\"files_scanned\":{},\"structs\":{},\"walks\":{},\"clean\":{}}}",
@@ -174,99 +155,6 @@ fn finding_json(f: &Finding) -> String {
         f.file.display(),
         f.line,
     )
-}
-
-fn run_digests(opts: &Options) -> bool {
-    // Only these crates define digest roots: the builder in `core`, the
-    // campaign digests in `inject`, the sweep-cell digest in `bench`.
-    let roots = [
-        opts.root.join("crates/core/src"),
-        opts.root.join("crates/inject/src"),
-        opts.root.join("crates/bench/src"),
-    ];
-    let analysis = match analyze_digest_dirs(&roots) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("restore-audit: cannot scan {}: {e}", opts.root.display());
-            return false;
-        }
-    };
-    let batteries = default_batteries();
-    let battery_ok = batteries.iter().all(restore_audit::BatteryReport::is_clean);
-    if opts.json {
-        let mut out = String::from("{\"findings\":[");
-        for (i, f) in analysis.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&finding_json(f));
-        }
-        out.push_str("],\"structs\":[");
-        for (i, s) in analysis.structs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"shaped\":{},\"neutral\":{}}}",
-                s.name,
-                s.shaped.len(),
-                s.neutral.len(),
-            ));
-        }
-        out.push_str("],\"battery\":[");
-        for (i, b) in batteries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"type\":\"{}\",\"base_digest\":\"{:#018x}\",\"checked\":{},\
-                 \"failures\":{}}}",
-                b.type_name,
-                b.base_digest,
-                b.checked,
-                b.failures.len(),
-            ));
-        }
-        out.push_str(&format!(
-            "],\"files_scanned\":{},\"digest_fns\":{},\"clean\":{}}}",
-            analysis.files_scanned,
-            analysis.digest_fns.len(),
-            analysis.is_clean() && battery_ok,
-        ));
-        println!("{out}");
-    } else {
-        for f in &analysis.findings {
-            println!("{f}");
-        }
-        for b in &batteries {
-            for fail in &b.failures {
-                println!("error[battery]: {fail}");
-            }
-            println!(
-                "digest-battery {}: base {:#018x}, {} perturbations ({} shaped, {} neutral \
-                 fields): {}",
-                b.type_name,
-                b.base_digest,
-                b.checked,
-                b.shaped_fields.len(),
-                b.neutral_fields.len(),
-                if b.is_clean() { "contract holds" } else { "VIOLATIONS" },
-            );
-        }
-        let errors = analysis.errors().count();
-        println!(
-            "restore-audit: scanned {} files, {} digest fns, {} reachable structs: {}",
-            analysis.files_scanned,
-            analysis.digest_fns.len(),
-            analysis.structs.len(),
-            if errors == 0 && battery_ok {
-                "digest coverage clean".to_string()
-            } else {
-                format!("{} error(s)", errors + usize::from(!battery_ok))
-            },
-        );
-    }
-    analysis.is_clean() && battery_ok
 }
 
 fn run_determinism(opts: &Options) -> bool {
@@ -380,9 +268,6 @@ fn main() -> ExitCode {
     let mut ok = true;
     if opts.check {
         ok &= run_check(&opts);
-    }
-    if opts.digests {
-        ok &= run_digests(&opts);
     }
     if opts.determinism {
         ok &= run_determinism(&opts);

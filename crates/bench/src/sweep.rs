@@ -32,25 +32,32 @@ use restore_workloads::WorkloadId;
 #[derive(Debug, Clone)]
 pub struct SweepCell {
     /// Stable cell name for tables and JSON.
-    // digest: neutral -- display label; two names over one cfg record identically
     pub name: &'static str,
     /// Campaign configuration (detector knobs folded in).
     pub cfg: UarchCampaignConfig,
     /// Score with the hardened (parity/ECC) pipeline of §5.2.2: lhf
     /// bits are recovered in hardware and leave the failure population.
-    // digest: neutral -- post-hoc scoring policy over already-recorded trials
     pub hardened: bool,
     /// Post-hoc source subsets evaluated against this cell's records.
-    // digest: neutral -- post-hoc subset selection reads recorded latencies only
     pub subsets: Vec<SourceSet>,
 }
 
 /// The store identity of a cell's records: exactly its campaign
 /// configuration's digest. Cells differing only in post-hoc knobs
 /// (`name`, `hardened`, `subsets`) share one digest and therefore one
-/// (cached) campaign run.
+/// (cached) campaign run. The pattern names every field with no `..`
+/// rest, so a new cell field must be classified here before it compiles.
 pub fn cell_digest(cell: &SweepCell) -> u64 {
-    restore_inject::uarch_campaign_digest(&cell.cfg)
+    let SweepCell {
+        // Display label: two names over one cfg record identically.
+        name: _,
+        cfg,
+        // Post-hoc scoring policy over already-recorded trials.
+        hardened: _,
+        // Post-hoc subset selection reads recorded latencies only.
+        subsets: _,
+    } = cell;
+    restore_inject::uarch_campaign_digest(cfg)
 }
 
 /// The default sweep grid over a base campaign configuration: the
@@ -419,5 +426,26 @@ mod tests {
         let json = render_json(&points);
         assert!(json.contains("\"workload\":\"combined\""));
         assert!(json.trim_end().ends_with(']'));
+    }
+
+    /// `cfg` is the cell's only shaped field: the post-hoc knobs share
+    /// one digest, while any shaped campaign change rekeys the cell.
+    #[test]
+    fn cell_digest_tracks_cfg_only() {
+        let cells = default_cells(&smoke_base());
+        let paper = cells.iter().find(|c| c.name == "paper").unwrap();
+        let d0 = cell_digest(paper);
+        let relabeled = SweepCell {
+            name: "renamed",
+            hardened: !paper.hardened,
+            subsets: vec![SourceSet::baseline()],
+            ..paper.clone()
+        };
+        assert_eq!(cell_digest(&relabeled), d0, "post-hoc knobs must not rekey a cell");
+        let mut rekeyed = paper.clone();
+        rekeyed.cfg.window_cycles += 1;
+        assert_ne!(cell_digest(&rekeyed), d0, "a shaped cfg change must rekey the cell");
+        let hardened = cells.iter().find(|c| c.name == "hardened").unwrap();
+        assert_eq!(cell_digest(hardened), d0, "the hardened cell replays the paper cell's runs");
     }
 }

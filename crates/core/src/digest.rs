@@ -113,10 +113,11 @@ pub fn config_digest(rendering: &str) -> u64 {
 ///
 /// Every record a warm store holds is filed under a digest value; if
 /// either constant below moves, every existing store directory is
-/// silently orphaned (cold re-simulation, not corruption). The
-/// constants live here — not next to the digest functions in
-/// `restore-inject` — so the dependency-free audit crate can assert
-/// them without pulling the campaign drivers into `restore-core`.
+/// silently orphaned (cold re-simulation, not corruption). The digest
+/// functions in `restore-inject` destructure their configs
+/// exhaustively and fold the shaped fields in the historical order:
+/// the compiler forces every new field to be classified, and these
+/// values move only when a shaped fold is deliberately added or changed.
 /// Asserted by `crates/audit/tests/digest_battery.rs`; update ONLY with
 /// a changelog entry explaining the store invalidation.
 pub const PINNED_UARCH_DEFAULT_DIGEST: u64 = 0x2a32_b7db_a46e_878a;

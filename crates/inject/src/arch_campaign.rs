@@ -56,7 +56,6 @@ pub struct ArchCampaignConfig {
     /// Workload scale (paper: SPEC2000int reference runs).
     pub scale: Scale,
     /// Trials per workload (paper: ~1000).
-    // digest: neutral -- sample-count knob: more trials, same per-trial records
     pub trials_per_workload: usize,
     /// Maximum instructions observed after injection. The paper observes
     /// to program completion (its latency axis ends at "inf"); the
@@ -64,7 +63,6 @@ pub struct ArchCampaignConfig {
     /// trials run to halt and masking is judged on final state.
     pub window: u64,
     /// RNG seed for injection point/bit selection.
-    // digest: neutral -- per-trial seeds ride in the store key, not the campaign key
     pub seed: u64,
     /// Restrict flips to the low 32 bits of each result — the §3.1
     /// virtual-address-space sensitivity study.
@@ -72,14 +70,12 @@ pub struct ArchCampaignConfig {
     /// Worker threads; 0 resolves via `RESTORE_THREADS` or the machine's
     /// available parallelism. Results are bit-identical at every thread
     /// count.
-    // digest: neutral -- results are bit-identical at every thread count
     pub threads: usize,
     /// Retired instructions between fingerprint comparisons of the
     /// injected and golden machines; on a match the fault has provably
     /// re-converged and the rest of the window is skipped. `0` disables
     /// the cutoff. Results are bit-identical either way — only
     /// throughput changes.
-    // digest: neutral -- reconvergence cutoff is bit-identical on/off
     pub cutoff_stride: u64,
     /// Static interval pruning: skip simulating register-result trials
     /// the per-workload [`restore_maskmap::ArchMaskMap`] proves masked
@@ -89,14 +85,12 @@ pub struct ArchCampaignConfig {
     /// [`PruneMode::Audit`] additionally re-simulates every
     /// map-classified trial and asserts the prediction. Results are
     /// bit-identical across all modes.
-    // digest: neutral -- pruning is bit-identical across all modes
     pub prune: PruneMode,
     /// Where to persist (and load) the per-workload masking maps used
     /// by [`PruneMode::Interval`] — campaign runners pass their
     /// `--store` directory so sharded runs compute each map once per
     /// shard *set*. `None` keeps maps in the process-wide registry
     /// only. Result-neutral.
-    // digest: neutral -- maps are deterministic functions of the config
     pub map_dir: Option<std::path::PathBuf>,
     /// Retired instructions between golden checkpoint captures
     /// ([`restore_snapshot::GoldenCheckpointLibrary`]): injection
@@ -105,7 +99,6 @@ pub struct ArchCampaignConfig {
     /// library is shared process-wide so repeated campaigns start warm.
     /// `0` disables the library (serial producer). Results are
     /// bit-identical either way — only producer cost changes.
-    // digest: neutral -- checkpoint fast-start is bit-identical on/off
     pub ckpt_stride: u64,
     /// Observation-time software-detector configuration (signature block
     /// size, duplication mask). Result-shaping: the knobs set the
@@ -344,14 +337,39 @@ impl FaultModel for ArchModel<'_> {
 /// checkpoint strides and the cutoff stride (result-neutral, proved by
 /// the equivalence suites). Records written under a different digest
 /// are inert misses, never corruption.
+///
+/// As in [`crate::uarch_campaign_digest`], the pattern names every
+/// field with no `..` rest: a new field must be folded or bound to `_`
+/// with its reason before this compiles, and the historical fold order
+/// keeps [`restore_core::PINNED_ARCH_DEFAULT_DIGEST`] valid.
 pub fn arch_campaign_digest(cfg: &ArchCampaignConfig) -> u64 {
+    let ArchCampaignConfig {
+        scale,
+        // Sample-count knob: more trials, same per-trial records.
+        trials_per_workload: _,
+        window,
+        // Per-trial seeds ride in the store key, not the campaign key.
+        seed: _,
+        low32,
+        // Results are bit-identical at every thread count.
+        threads: _,
+        // The reconvergence cutoff is bit-identical on/off.
+        cutoff_stride: _,
+        // Pruning is bit-identical across all modes.
+        prune: _,
+        // Maps are deterministic functions of the config.
+        map_dir: _,
+        // Checkpoint fast-start is bit-identical on/off.
+        ckpt_stride: _,
+        detectors: DetectorConfig { sig_chunk, dup_mask },
+    } = cfg;
     ConfigDigest::new()
         .text("arch-campaign")
-        .debug(&cfg.scale)
-        .word(cfg.window)
-        .word(u64::from(cfg.low32))
-        .word(cfg.detectors.sig_chunk)
-        .word(u64::from(cfg.detectors.dup_mask))
+        .debug(scale)
+        .word(*window)
+        .word(u64::from(*low32))
+        .word(*sig_chunk)
+        .word(u64::from(*dup_mask))
         .finish()
 }
 

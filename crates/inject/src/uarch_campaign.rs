@@ -86,40 +86,33 @@ pub struct UarchCampaignConfig {
     pub uarch: UarchConfig,
     /// Injection points (cycles) per workload (paper: ~250–300 total
     /// across the suite).
-    // digest: neutral -- sample-count knob: more points, same per-trial records
     pub points_per_workload: usize,
     /// Trials (random bits) per injection point (paper: ~48).
-    // digest: neutral -- sample-count knob: more trials, same per-trial records
     pub trials_per_point: usize,
     /// Cycles of warm-up before the earliest injection point.
-    // digest: neutral -- only bounds where points may land; each record keys on its own cycle
     pub warmup_cycles: u64,
     /// Observation window after injection (paper: 10,000 cycles).
     pub window_cycles: u64,
     /// Extra cycles allowed for the end-of-trial pipeline drain.
     pub drain_cycles: u64,
     /// RNG seed.
-    // digest: neutral -- per-trial seeds ride in the store key, not the campaign key
     pub seed: u64,
     /// Eligible state.
     pub target: InjectionTarget,
     /// Worker threads; 0 resolves via `RESTORE_THREADS` or the machine's
     /// available parallelism. Results are bit-identical at every thread
     /// count.
-    // digest: neutral -- results are bit-identical at every thread count
     pub threads: usize,
     /// Cycles between full-machine fingerprint comparisons against the
     /// golden run; when a trial's fingerprint matches at a boundary its
     /// future is identical to the golden run's, so the rest of the
     /// window is skipped and back-filled. `0` disables the cutoff.
     /// Results are bit-identical either way — only throughput changes.
-    // digest: neutral -- reconvergence cutoff is bit-identical on/off
     pub cutoff_stride: u64,
     /// Dead-state pruning: skip simulating trials whose flipped bit the
     /// liveness oracle proves dead at the injection point. Results are
     /// bit-identical to [`PruneMode::Off`]; [`PruneMode::Audit`]
     /// verifies that claim trial-by-trial at full simulation cost.
-    // digest: neutral -- pruning is bit-identical across all modes
     pub prune: PruneMode,
     /// Where to persist (and load) the per-workload masking-interval
     /// maps used by [`PruneMode::Interval`] — the campaign runners pass
@@ -127,7 +120,6 @@ pub struct UarchCampaignConfig {
     /// per shard *set*. `None` keeps maps in the process-wide registry
     /// only. Result-neutral (maps are deterministic functions of the
     /// configuration).
-    // digest: neutral -- maps are deterministic functions of the config
     pub map_dir: Option<std::path::PathBuf>,
     /// Cycles between golden checkpoint captures
     /// ([`restore_snapshot::GoldenCheckpointLibrary`]): injection
@@ -136,7 +128,6 @@ pub struct UarchCampaignConfig {
     /// shared process-wide so repeated campaigns start warm. `0`
     /// disables the library (serial producer). Results are
     /// bit-identical either way — only producer cost changes.
-    // digest: neutral -- checkpoint fast-start is bit-identical on/off
     pub ckpt_stride: u64,
     /// Observation-time software-detector configuration (signature block
     /// size, duplication mask). Result-shaping: the knobs set the
@@ -399,16 +390,47 @@ impl FaultModel for UarchModel<'_> {
 /// checkpoint strides, the reconvergence cutoff and prune settings
 /// (result-neutral, proved by the equivalence suites). Records written
 /// under a different digest are inert misses, never corruption.
+///
+/// The pattern below names every field with no `..` rest, so a new
+/// config field does not compile until it is either folded or bound to
+/// `_` with its reason; the fold order is the historical one, which
+/// keeps [`restore_core::PINNED_UARCH_DEFAULT_DIGEST`] valid.
 pub fn uarch_campaign_digest(cfg: &UarchCampaignConfig) -> u64 {
+    let UarchCampaignConfig {
+        scale,
+        uarch,
+        // Sample-count knob: more points, same per-trial records.
+        points_per_workload: _,
+        // Sample-count knob: more trials, same per-trial records.
+        trials_per_point: _,
+        // Only bounds where points may land; each record keys on its own cycle.
+        warmup_cycles: _,
+        window_cycles,
+        drain_cycles,
+        // Per-trial seeds ride in the store key, not the campaign key.
+        seed: _,
+        target,
+        // Results are bit-identical at every thread count.
+        threads: _,
+        // The reconvergence cutoff is bit-identical on/off.
+        cutoff_stride: _,
+        // Pruning is bit-identical across all modes.
+        prune: _,
+        // Maps are deterministic functions of the config.
+        map_dir: _,
+        // Checkpoint fast-start is bit-identical on/off.
+        ckpt_stride: _,
+        detectors: DetectorConfig { sig_chunk, dup_mask },
+    } = cfg;
     ConfigDigest::new()
         .text("uarch-campaign")
-        .debug(&cfg.scale)
-        .debug(&cfg.uarch)
-        .word(cfg.window_cycles)
-        .word(cfg.drain_cycles)
-        .debug(&cfg.target)
-        .word(cfg.detectors.sig_chunk)
-        .word(u64::from(cfg.detectors.dup_mask))
+        .debug(scale)
+        .debug(uarch)
+        .word(*window_cycles)
+        .word(*drain_cycles)
+        .debug(target)
+        .word(*sig_chunk)
+        .word(u64::from(*dup_mask))
         .finish()
 }
 
