@@ -59,7 +59,8 @@ impl RegFile {
     /// walking it would let a flip create an unreadable nonzero residue
     /// that `arch_state_eq` could never observe through [`RegFile::read`].
     pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        for r in self.regs.iter_mut().take(31) {
+        let RegFile { regs } = self;
+        for r in regs.iter_mut().take(31) {
             v.word(r, 64, FieldClass::Data);
         }
     }
@@ -147,15 +148,9 @@ pub struct Cpu {
     /// Program counter.
     pub pc: u64,
     /// Memory image.
-    // audit: skip -- the memory image is not injection substrate at this
-    // level (§3.1 flips instruction results, not stored bits); it is
-    // compared whole by `arch_state_eq` and digested by `fingerprint`
     pub mem: Memory,
-    // audit: skip -- output log: write-only observable, never read back
     output: Vec<u64>,
-    // audit: skip -- retirement counter is simulation bookkeeping
     retired: u64,
-    // audit: skip -- halt flag is simulation bookkeeping, not a latch
     halted: bool,
 }
 
@@ -367,10 +362,25 @@ impl Cpu {
 /// simulation bookkeeping with no hardware latch behind them.
 impl FaultState for Cpu {
     fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+        let Cpu {
+            regs,
+            pc,
+            // the memory image is not injection substrate at this level
+            // (§3.1 flips instruction results, not stored bits); it is
+            // compared whole by `arch_state_eq` and digested by
+            // `fingerprint`
+            mem: _,
+            // output log: write-only observable, never read back
+            output: _,
+            // retirement counter is simulation bookkeeping
+            retired: _,
+            // halt flag is simulation bookkeeping, not a latch
+            halted: _,
+        } = self;
         v.region("arch-regfile", StateKind::Ram);
-        self.regs.visit(v);
+        regs.visit(v);
         v.region("arch-pc", StateKind::Latch);
-        v.word(&mut self.pc, 64, FieldClass::Data);
+        v.word(pc, 64, FieldClass::Data);
     }
 }
 

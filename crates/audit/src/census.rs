@@ -162,7 +162,30 @@ mod tests {
     #[test]
     fn pipeline_census_is_nonempty_and_consistent() {
         let c = pipeline_census();
-        assert!(c.regions.len() > 4);
+        // Exact per-region (bits, control, data) of the default pipeline:
+        // the runtime partner of the walks' exhaustive destructuring. A
+        // dropped visit, or an excluded field walked through `self`,
+        // moves a count here.
+        let expected = [
+            ("pc-and-fetch-control", 65, 1, 64),
+            ("fetch-queue", 5196, 1100, 4096),
+            ("decode-latch", 652, 140, 512),
+            ("scheduler", 4704, 2656, 2048),
+            ("exec-latches", 4992, 896, 4096),
+            ("reorder-buffer", 21006, 4622, 16384),
+            ("load-queue", 2394, 346, 2048),
+            ("store-queue", 2234, 186, 2048),
+            ("branch-order-buffer", 1800, 1800, 0),
+            ("spec-rat", 224, 224, 0),
+            ("arch-rat", 224, 224, 0),
+            ("free-list", 688, 688, 0),
+            ("phys-regfile", 6144, 0, 6144),
+            ("ready-scoreboard", 96, 96, 0),
+        ];
+        let got: Vec<_> =
+            c.regions.iter().map(|r| (r.name, r.bits, r.control_bits, r.data_bits)).collect();
+        assert_eq!(got, expected);
+        assert_eq!((c.total_bits, c.latch_bits, c.ram_bits), (50_419, 15_137, 35_282));
         assert_eq!(c.total_bits, c.latch_bits + c.ram_bits);
         let sum: u64 = c.regions.iter().map(|r| r.bits).sum();
         assert_eq!(sum, c.total_bits);
@@ -178,7 +201,15 @@ mod tests {
         let c = cpu_census();
         // 31 visitable 64-bit registers (r31 is hardwired zero) + 64-bit PC.
         assert_eq!(c.total_bits, 31 * 64 + 64);
-        assert_eq!(c.regions.len(), 2);
+        let got: Vec<_> = c
+            .regions
+            .iter()
+            .map(|r| (r.name, r.kind, r.bits, r.control_bits, r.data_bits))
+            .collect();
+        assert_eq!(
+            got,
+            [("arch-regfile", "ram", 31 * 64, 0, 31 * 64), ("arch-pc", "latch", 64, 0, 64)]
+        );
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! Runtime visitor-contract checker.
 //!
-//! The static scanner proves every field is *mentioned* by a walk; this
-//! module proves the walk itself behaves: [`ContractVisitor`] rides along
+//! Which fields a walk covers is fixed by the compiler (every walk
+//! destructures its struct exhaustively); this module proves the walk
+//! itself behaves: [`ContractVisitor`] rides along
 //! a `visit_state` traversal recording a full event trace and flagging
 //! protocol violations, and [`check_contract`] drives a battery of walks
 //! over one machine to verify the cross-walk invariants the injection
 //! engine silently relies on:
 //!
 //! 1. every `word` is preceded by a `region` (no orphan bits),
-//! 2. declared widths are in `1..=64` and values fit their width mask,
+//! 2. declared widths are in `1..=64` — at most 32 through `word32` and
+//!    8 through `word8`, checked here in release builds too, where the
+//!    trait defaults only `debug_assert!` those caps — and values fit
+//!    their width mask,
 //! 3. two consecutive walks produce identical traces — the global bit
 //!    numbering is stable and a read-only visitor does not mutate state,
 //! 4. hash-path walks ([`StateHasher`]) do not mutate state either,
@@ -97,6 +101,14 @@ impl ContractVisitor {
         self.violations.push(Violation { at_bit: self.total_bits, region: self.region, what });
     }
 
+    /// Records a violation when a narrow visit method declares more bits
+    /// than its field type holds.
+    fn check_cap(&mut self, method: &str, width: u32, cap: u32) {
+        if width > cap {
+            self.violate(format!("width {width} exceeds the {cap}-bit cap of `{method}`"));
+        }
+    }
+
     /// `true` if the walk ended with the occupancy channel live — dead
     /// trailing state would mean the component forgot to close its
     /// occupancy bracket.
@@ -126,6 +138,22 @@ impl StateVisitor for ContractVisitor {
         }
         self.trace.push(TraceEvent::Word { value: *value, width, class });
         self.total_bits += width as u64;
+    }
+
+    // `flag` keeps the trait default: its width is fixed at 1. These
+    // overrides add each narrow method's cap; `word` flags a zero width.
+    fn word32(&mut self, value: &mut u32, width: u32, class: FieldClass) {
+        self.check_cap("word32", width, 32);
+        let mut v = *value as u64;
+        self.word(&mut v, width, class);
+        *value = v as u32;
+    }
+
+    fn word8(&mut self, value: &mut u8, width: u32, class: FieldClass) {
+        self.check_cap("word8", width, 8);
+        let mut v = *value as u64;
+        self.word(&mut v, width, class);
+        *value = v as u8;
     }
 
     fn occupancy(&mut self, live: bool) {
@@ -384,6 +412,25 @@ mod tests {
         let report = check_contract(&mut WideValue(0xFF), 0);
         assert!(
             report.violations.iter().any(|v| v.what.contains("above declared width")),
+            "{:#?}",
+            report.violations,
+        );
+    }
+
+    struct OverCap(u8);
+
+    impl FaultState for OverCap {
+        fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+            v.region("over-cap", StateKind::Latch);
+            v.word8(&mut self.0, 9, FieldClass::Control); // a u8 holds 8 bits
+        }
+    }
+
+    #[test]
+    fn width_above_method_cap_is_violated() {
+        let report = check_contract(&mut OverCap(1), 0);
+        assert!(
+            report.violations.iter().any(|v| v.what.contains("9 exceeds the 8-bit cap of `word8`")),
             "{:#?}",
             report.violations,
         );

@@ -1,14 +1,13 @@
 //! `restore-audit` CLI.
 //!
 //! ```text
-//! restore-audit [--check] [--determinism] [--census] [--contract]
-//!               [--json] [--root DIR]
+//! restore-audit [--determinism] [--census] [--contract] [--json]
+//!               [--root DIR]
 //! ```
 //!
-//! * `--check` (default): run the static field-coverage scanner over
-//!   `crates/uarch/src`, `crates/arch/src`, `crates/snapshot/src`,
-//!   `crates/store/src`, `crates/maskmap/src`, `crates/core/src` and
-//!   `crates/inject/src`; exit 1 on any finding.
+//! At least one pass is required; with none, the usage message is
+//! printed and the exit code is 2.
+//!
 //! * `--determinism`: run the nondeterminism lint over the campaign,
 //!   bench, store, snapshot, maskmap and perf crate roots; exit 1 on
 //!   any unexempted banned construct.
@@ -16,15 +15,15 @@
 //!   default-config pipeline and the architectural CPU; exit 1 on any
 //!   violation.
 //! * `--census`: print the per-region bit census of both machines.
-//! * `--json`: machine-readable output for `--check`/`--determinism`/
-//!   `--census`.
+//! * `--json`: machine-readable output for `--determinism`/`--census`.
 //! * `--root DIR`: repository root to scan (defaults to the workspace
 //!   this binary was built from).
 //!
-//! Cache-key coverage has no flag: the campaign digest functions
-//! destructure their configs exhaustively, so the compiler rejects an
-//! unclassified field, and `tests/digest_battery.rs` checks at runtime
-//! that exactly the shaped fields rekey.
+//! State-walk and cache-key coverage have no flag: every state walk and
+//! campaign digest function destructures its struct exhaustively, so the
+//! compiler rejects an unclassified field. At runtime the census tests
+//! pin every region's bit counts and `tests/digest_battery.rs` checks
+//! that exactly the shaped config fields rekey.
 
 #![forbid(unsafe_code)]
 
@@ -32,13 +31,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use restore_audit::contract::check_contract;
-use restore_audit::scanner::{Finding, Severity};
-use restore_audit::{analyze_determinism_dirs, analyze_dirs, cpu_census, pipeline_census};
+use restore_audit::{analyze_determinism_dirs, cpu_census, pipeline_census, Finding, Severity};
 use restore_uarch::{Pipeline, UarchConfig};
 use restore_workloads::{Scale, WorkloadId};
 
 struct Options {
-    check: bool,
     determinism: bool,
     census: bool,
     contract: bool,
@@ -47,17 +44,13 @@ struct Options {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: restore-audit [--check] [--determinism] [--census] [--contract] [--json] \
-         [--root DIR]"
-    );
+    eprintln!("usage: restore-audit [--determinism] [--census] [--contract] [--json] [--root DIR]");
     std::process::exit(2);
 }
 
 fn parse_args() -> Options {
     let default_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut opts = Options {
-        check: false,
         determinism: false,
         census: false,
         contract: false,
@@ -67,7 +60,6 @@ fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--check" => opts.check = true,
             "--determinism" => opts.determinism = true,
             "--census" => opts.census = true,
             "--contract" => opts.contract = true,
@@ -83,62 +75,10 @@ fn parse_args() -> Options {
             }
         }
     }
-    if !opts.check && !opts.determinism && !opts.census && !opts.contract {
-        opts.check = true;
+    if !opts.determinism && !opts.census && !opts.contract {
+        usage();
     }
     opts
-}
-
-fn run_check(opts: &Options) -> bool {
-    let roots = [
-        opts.root.join("crates/uarch/src"),
-        opts.root.join("crates/arch/src"),
-        opts.root.join("crates/snapshot/src"),
-        opts.root.join("crates/store/src"),
-        opts.root.join("crates/maskmap/src"),
-        // The detector plugin layer and the trial monitors that drive
-        // it: DetectorSet firing state and the per-trial observation
-        // records are visit-bearing state too.
-        opts.root.join("crates/core/src"),
-        opts.root.join("crates/inject/src"),
-    ];
-    let analysis = match analyze_dirs(&roots) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("restore-audit: cannot scan {}: {e}", opts.root.display());
-            return false;
-        }
-    };
-    if opts.json {
-        let mut out = String::from("{\"findings\":[");
-        for (i, f) in analysis.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&finding_json(f));
-        }
-        out.push_str(&format!(
-            "],\"files_scanned\":{},\"structs\":{},\"walks\":{},\"clean\":{}}}",
-            analysis.files_scanned,
-            analysis.structs.len(),
-            analysis.walks.len(),
-            analysis.is_clean(),
-        ));
-        println!("{out}");
-    } else {
-        for f in &analysis.findings {
-            println!("{f}");
-        }
-        let errors = analysis.errors().count();
-        println!(
-            "restore-audit: scanned {} files, {} structs, {} walk bodies: {}",
-            analysis.files_scanned,
-            analysis.structs.len(),
-            analysis.walks.len(),
-            if errors == 0 { "coverage clean".to_string() } else { format!("{errors} error(s)") },
-        );
-    }
-    analysis.is_clean()
 }
 
 fn finding_json(f: &Finding) -> String {
@@ -147,7 +87,6 @@ fn finding_json(f: &Finding) -> String {
          \"file\":\"{}\",\"line\":{}}}",
         match f.severity {
             Severity::Error => "error",
-            Severity::Note => "note",
         },
         f.kind,
         f.type_name,
@@ -266,9 +205,6 @@ fn run_census(json: bool) {
 fn main() -> ExitCode {
     let opts = parse_args();
     let mut ok = true;
-    if opts.check {
-        ok &= run_check(&opts);
-    }
     if opts.determinism {
         ok &= run_determinism(&opts);
     }

@@ -126,9 +126,8 @@ pub struct SnapshotMeta {
     pub coord: u64,
     /// Full-machine fingerprint recorded at capture.
     pub fingerprint: u64,
-    /// Materializations served from this snapshot so far.
-    // audit: skip -- usage counter for stats reporting, not captured
-    // machine state; restoring it would claim another run's history
+    /// Materializations served from this snapshot so far. Not walked by
+    /// [`SnapshotMeta::visit`], so serving never moves the library digest.
     pub serves: u64,
 }
 
@@ -138,9 +137,16 @@ impl SnapshotMeta {
     /// one value (shards of a resumable campaign cross-check that they
     /// materialize from identical libraries).
     pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
+        let SnapshotMeta {
+            coord,
+            fingerprint,
+            // usage counter for stats reporting, not captured machine
+            // state; restoring it would claim another run's history
+            serves: _,
+        } = self;
         v.region("snapshot-meta", StateKind::Ram);
-        v.word(&mut self.coord, 64, FieldClass::Data);
-        v.word(&mut self.fingerprint, 64, FieldClass::Data);
+        v.word(coord, 64, FieldClass::Data);
+        v.word(fingerprint, 64, FieldClass::Data);
     }
 }
 
@@ -464,6 +470,14 @@ mod tests {
         assert_ne!(a.digest(), b.digest(), "frontier extension must change the digest");
         b.materialize(1_500).unwrap();
         assert_eq!(a.digest(), b.digest(), "identical golden runs must digest identically");
+        // Serving captured coordinates again only bumps the serve
+        // counters, which are usage statistics, not captured state.
+        let (before, serves) = (a.digest(), a.metas().map(|m| m.serves).sum::<u64>());
+        a.materialize(0).unwrap();
+        a.materialize(1_500).unwrap();
+        assert_eq!(a.metas().map(|m| m.serves).sum::<u64>(), serves + 2);
+        assert_eq!(a.len(), b.len(), "re-serving must not capture anything new");
+        assert_eq!(a.digest(), before, "serve counters must not move the digest");
     }
 
     #[test]

@@ -86,14 +86,16 @@ pub struct TrialKey {
 
 impl TrialKey {
     /// Walks the key's fields through a [`StateVisitor`] — the same
-    /// contract the machine models use, so the audit scanner can prove
-    /// no field is silently dropped from digests.
+    /// contract the machine models use. The walk destructures the key
+    /// exhaustively, so a new field does not compile until it is walked
+    /// (and so digested) or explicitly excluded.
     pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
+        let TrialKey { config, workload, point, seed } = self;
         v.region("trial-key", StateKind::Ram);
-        v.word(&mut self.config, 64, FieldClass::Data);
-        v.word(&mut self.workload, 64, FieldClass::Data);
-        v.word(&mut self.point, 64, FieldClass::Data);
-        v.word(&mut self.seed, 64, FieldClass::Data);
+        v.word(config, 64, FieldClass::Data);
+        v.word(workload, 64, FieldClass::Data);
+        v.word(point, 64, FieldClass::Data);
+        v.word(seed, 64, FieldClass::Data);
     }
 }
 
@@ -125,12 +127,13 @@ impl TrialCost {
 
     /// Walks the cost's fields through a [`StateVisitor`].
     pub fn visit<V: StateVisitor>(&mut self, v: &mut V) {
+        let TrialCost { simulated, saved, cut, pruned, pruned_cycles } = self;
         v.region("trial-cost", StateKind::Ram);
-        v.word(&mut self.simulated, 64, FieldClass::Data);
-        v.word(&mut self.saved, 64, FieldClass::Data);
-        v.flag(&mut self.cut);
-        v.flag(&mut self.pruned);
-        v.word(&mut self.pruned_cycles, 64, FieldClass::Data);
+        v.word(simulated, 64, FieldClass::Data);
+        v.word(saved, 64, FieldClass::Data);
+        v.flag(cut);
+        v.flag(pruned);
+        v.word(pruned_cycles, 64, FieldClass::Data);
     }
 }
 

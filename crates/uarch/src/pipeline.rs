@@ -115,9 +115,10 @@ impl DecSlot {
     /// payload of an empty slot is dead (rename tests `valid` before
     /// reading anything else, and a refill rewrites every field).
     fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        v.flag(&mut self.valid);
-        v.occupancy(self.valid);
-        self.e.visit(v);
+        let DecSlot { valid, e } = self;
+        v.flag(valid);
+        v.occupancy(*valid);
+        e.visit(v);
         v.occupancy(true);
     }
 }
@@ -125,18 +126,9 @@ impl DecSlot {
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct BobEntry {
     rat: Vec<u8>,
-    // audit: skip -- free-list head checkpoint: recovery metadata folded
-    // into the reconvergence fingerprint, not a modelled latch array
     fl_head: u64,
-    // audit: skip -- GHR snapshot feeds only predictor recovery, which
-    // the paper excludes from injection ("corrupt predictor table
-    // entries cannot lead to failure")
     ghr: u64,
-    // audit: skip -- RAS top snapshot: predictor recovery metadata,
-    // excluded like the predictor state it restores
     ras_top: u32,
-    // audit: skip -- allocation age is a simulation artifact, covered by
-    // the fingerprint's digest of checkpoint bookkeeping
     seq: u64,
 }
 
@@ -147,7 +139,23 @@ impl BobEntry {
     /// paper's predictor-state exclusion and is digested by
     /// [`Pipeline::fingerprint`] instead.
     fn visit<V: StateVisitor>(&mut self, v: &mut V) {
-        for t in self.rat.iter_mut() {
+        let BobEntry {
+            rat,
+            // free-list head checkpoint: recovery metadata folded into the
+            // reconvergence fingerprint, not a modelled latch array
+            fl_head: _,
+            // GHR snapshot feeds only predictor recovery, which the paper
+            // excludes from injection ("corrupt predictor table entries
+            // cannot lead to failure")
+            ghr: _,
+            // RAS top snapshot: predictor recovery metadata, excluded like
+            // the predictor state it restores
+            ras_top: _,
+            // allocation age is a simulation artifact, covered by the
+            // fingerprint's digest of checkpoint bookkeeping
+            seq: _,
+        } = self;
+        for t in rat.iter_mut() {
             v.word8(t, 7, FieldClass::Control);
         }
     }
@@ -209,47 +217,31 @@ where
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pipeline {
-    // audit: skip -- static configuration, not machine state
+    // Each field is classified in `visit_state`'s exhaustive
+    // destructuring: walked as injectable state, or bound to `_` with
+    // the reason it is not.
     cfg: UarchConfig,
-    // audit: skip -- memory is DRAM behind the caches, outside the
-    // paper's "~46,000 bits of interesting state"; it is digested
-    // separately by `fingerprint` via `Memory::fingerprint`
     mem: Memory,
 
     // --- front end ---
     pc: u64,
     fetch_parked: bool,
-    // audit: skip -- fetch redirect latency countdown: timing model
-    // artifact with no latch-level equivalent, fingerprint-digested
     frontend_delay: u32,
-    // audit: skip -- icache/iTLB miss latency countdown: timing model
-    // artifact, fingerprint-digested
     fetch_stall: u32,
     fq: CircQ<FqEntry>,
     dec: Vec<DecSlot>,
 
     // --- predictors (excluded from injection) ---
-    // audit: skip -- predictor tables: "corrupt predictor table entries
-    // cannot lead to failure" (paper §4.2)
     bpred: BranchPredictor,
-    // audit: skip -- predictor state, excluded per paper §4.2
     btb: Btb,
-    // audit: skip -- predictor state, excluded per paper §4.2
     ras: Ras,
-    // audit: skip -- confidence estimator state, excluded per paper §4.2
     jrs: JrsConfidence,
-    // audit: skip -- memory-dependence predictor, excluded per paper §4.2
     memdep: MemDepPredictor,
 
     // --- caches/TLBs (excluded from injection) ---
-    // audit: skip -- "caches are easily protected by ECC or parity"
-    // (paper §4.2); digested by `fingerprint`
     icache: Cache,
-    // audit: skip -- cache array, excluded per paper §4.2
     dcache: Cache,
-    // audit: skip -- TLB array, excluded per paper §4.2
     itlb: Tlb,
-    // audit: skip -- TLB array, excluded per paper §4.2
     dtlb: Tlb,
 
     // --- out-of-order core ---
@@ -266,25 +258,15 @@ pub struct Pipeline {
     phys_ready: Vec<bool>,
 
     // --- bookkeeping (simulation artifacts, fingerprint-digested) ---
-    // audit: skip -- cycle counter is simulation bookkeeping
     cycle: u64,
-    // audit: skip -- global age source is simulation bookkeeping
     seq_counter: u64,
-    // audit: skip -- retirement counter is simulation bookkeeping
     retired_total: u64,
-    // audit: skip -- watchdog bookkeeping, not a modelled latch
     last_retire_cycle: u64,
-    // audit: skip -- stop reason is an output of the model, not state
     status: Stop,
-    // audit: skip -- output log: write-only observable, never read back
     output: Vec<u64>,
-    // audit: skip -- replay statistics counter, observability only
     replay_count: u64,
-    // audit: skip -- lockstep-comparison bookkeeping, fingerprint-digested
     last_retired_next_pc: u64,
-    // audit: skip -- exception-drain control: simulation sequencing flag
     fetch_enabled: bool,
-    // audit: skip -- JRS training gate: experiment-mode switch, not state
     confidence_training: bool,
 }
 
@@ -1530,6 +1512,75 @@ fn extend_load(raw: u64, len: u64, sext: bool) -> u64 {
 
 impl crate::state::FaultState for Pipeline {
     fn visit_state<V: StateVisitor>(&mut self, v: &mut V) {
+        let Pipeline {
+            // static configuration, not machine state
+            cfg: _,
+            // memory is DRAM behind the caches, outside the paper's
+            // "~46,000 bits of interesting state"; it is digested
+            // separately by `fingerprint` via `Memory::fingerprint`
+            mem: _,
+            pc,
+            fetch_parked,
+            // fetch redirect latency countdown: timing model artifact with
+            // no latch-level equivalent, fingerprint-digested
+            frontend_delay: _,
+            // icache/iTLB miss latency countdown: timing model artifact,
+            // fingerprint-digested
+            fetch_stall: _,
+            fq,
+            dec,
+            // predictor tables: "corrupt predictor table entries cannot
+            // lead to failure" (paper §4.2)
+            bpred: _,
+            // predictor state, excluded per paper §4.2
+            btb: _,
+            // predictor state, excluded per paper §4.2
+            ras: _,
+            // confidence estimator state, excluded per paper §4.2
+            jrs: _,
+            // memory-dependence predictor, excluded per paper §4.2
+            memdep: _,
+            // "caches are easily protected by ECC or parity" (paper §4.2);
+            // digested by `fingerprint`
+            icache: _,
+            // cache array, excluded per paper §4.2
+            dcache: _,
+            // TLB array, excluded per paper §4.2
+            itlb: _,
+            // TLB array, excluded per paper §4.2
+            dtlb: _,
+            sched,
+            exec,
+            rob,
+            ldq,
+            stq,
+            bob,
+            spec_rat,
+            arch_rat,
+            free_list,
+            phys_regs,
+            phys_ready,
+            // cycle counter is simulation bookkeeping
+            cycle: _,
+            // global age source is simulation bookkeeping
+            seq_counter: _,
+            // retirement counter is simulation bookkeeping
+            retired_total: _,
+            // watchdog bookkeeping, not a modelled latch
+            last_retire_cycle: _,
+            // stop reason is an output of the model, not state
+            status: _,
+            // output log: write-only observable, never read back
+            output: _,
+            // replay statistics counter, observability only
+            replay_count: _,
+            // lockstep-comparison bookkeeping, fingerprint-digested
+            last_retired_next_pc: _,
+            // exception-drain control: simulation sequencing flag
+            fetch_enabled: _,
+            // JRS training gate: experiment-mode switch, not state
+            confidence_training: _,
+        } = self;
         use crate::state::StateKind::{Latch, Ram};
 
         // Occupancy-dependent inputs, gathered up front so the walk
@@ -1537,16 +1588,16 @@ impl crate::state::FaultState for Pipeline {
         // ignore occupancy (the hash/fingerprint hot paths).
         let occupancy = v.wants_occupancy();
         let restorable_heads: Vec<u64> =
-            if occupancy { self.bob.iter().map(|(_, b)| b.fl_head).collect() } else { Vec::new() };
+            if occupancy { bob.iter().map(|(_, b)| b.fl_head).collect() } else { Vec::new() };
         let reg_live: Vec<bool> = if occupancy {
             // A physical register in the current free window backs no
             // architectural or speculative value: rename rewrites its
             // ready bit at allocation and writeback rewrites its value
             // before any consumer reads either. Registers re-freed by a
             // future `restore_head` are allocated *now*, hence live.
-            let mut live = vec![true; self.cfg.phys_regs];
-            for t in self.free_list.free_tags() {
-                live[t as usize % self.cfg.phys_regs] = false;
+            let mut live = vec![true; phys_regs.len()];
+            for t in free_list.free_tags() {
+                live[t as usize % phys_regs.len()] = false;
             }
             live
         } else {
@@ -1554,53 +1605,53 @@ impl crate::state::FaultState for Pipeline {
         };
 
         v.region("pc-and-fetch-control", Latch);
-        v.word(&mut self.pc, 64, FieldClass::Data);
-        v.flag(&mut self.fetch_parked);
+        v.word(pc, 64, FieldClass::Data);
+        v.flag(fetch_parked);
 
         v.region("fetch-queue", Ram);
-        self.fq.visit_with(v, FqEntry::visit);
+        fq.visit_with(v, FqEntry::visit);
 
         v.region("decode-latch", Latch);
-        for d in self.dec.iter_mut() {
+        for d in dec.iter_mut() {
             d.visit(v);
         }
 
         v.region("scheduler", Latch);
-        for s in self.sched.iter_mut() {
+        for s in sched.iter_mut() {
             s.visit(v);
         }
 
         v.region("exec-latches", Latch);
-        for e in self.exec.iter_mut() {
+        for e in exec.iter_mut() {
             e.visit(v);
         }
 
         v.region("reorder-buffer", Ram);
-        self.rob.visit_with(v, RobEntry::visit);
+        rob.visit_with(v, RobEntry::visit);
 
         v.region("load-queue", Latch);
-        self.ldq.visit_with(v, LdqEntry::visit);
+        ldq.visit_with(v, LdqEntry::visit);
 
         v.region("store-queue", Latch);
-        self.stq.visit_with(v, StqEntry::visit);
+        stq.visit_with(v, StqEntry::visit);
 
         v.region("branch-order-buffer", Ram);
-        self.bob.visit_with(v, BobEntry::visit);
+        bob.visit_with(v, BobEntry::visit);
 
         v.region("spec-rat", Ram);
-        for t in self.spec_rat.iter_mut() {
+        for t in spec_rat.iter_mut() {
             v.word8(t, 7, FieldClass::Control);
         }
         v.region("arch-rat", Ram);
-        for t in self.arch_rat.iter_mut() {
+        for t in arch_rat.iter_mut() {
             v.word8(t, 7, FieldClass::Control);
         }
 
         v.region("free-list", Ram);
-        self.free_list.visit(v, &restorable_heads);
+        free_list.visit(v, &restorable_heads);
 
         v.region("phys-regfile", Ram);
-        for (i, r) in self.phys_regs.iter_mut().enumerate() {
+        for (i, r) in phys_regs.iter_mut().enumerate() {
             if occupancy {
                 v.occupancy(reg_live[i]);
             }
@@ -1608,7 +1659,7 @@ impl crate::state::FaultState for Pipeline {
         }
 
         v.region("ready-scoreboard", Latch);
-        for (i, b) in self.phys_ready.iter_mut().enumerate() {
+        for (i, b) in phys_ready.iter_mut().enumerate() {
             if occupancy {
                 v.occupancy(reg_live[i]);
             }

@@ -55,9 +55,7 @@ impl<T: Default + Clone> CircQ<T> {
     /// distance exceed capacity; the visible length clamps there, so
     /// every iteration stays bounded without rewriting the latches.
     pub fn len(&self) -> usize {
-        let c2 = self.c2();
-        let raw = (self.tail % c2 + c2 - self.head % c2) % c2;
-        raw.min(self.cap() as u64) as usize
+        window_len(self.head, self.tail, self.cap() as u64) as usize
     }
 
     /// `true` if no entries are live.
@@ -165,12 +163,14 @@ impl<T: Default + Clone> CircQ<T> {
     /// ask: slots outside the `[head, tail)` window are dead — their
     /// contents cannot be read before a push overwrites them.
     pub fn visit_with<V: StateVisitor>(&mut self, v: &mut V, mut f: impl FnMut(&mut T, &mut V)) {
-        let ptr_width = (64 - (self.c2() - 1).leading_zeros()).max(1);
+        let CircQ { slots, head, tail } = self;
+        let cap = slots.len() as u64;
+        let ptr_width = (64 - (2 * cap - 1).leading_zeros()).max(1);
         let occupancy = v.wants_occupancy();
-        let (cap, start, len) = (self.cap() as u64, self.head, self.len() as u64);
-        v.word(&mut self.head, ptr_width, FieldClass::Control);
-        v.word(&mut self.tail, ptr_width, FieldClass::Control);
-        for (i, s) in self.slots.iter_mut().enumerate() {
+        let (start, len) = (*head, window_len(*head, *tail, cap));
+        v.word(head, ptr_width, FieldClass::Control);
+        v.word(tail, ptr_width, FieldClass::Control);
+        for (i, s) in slots.iter_mut().enumerate() {
             if occupancy {
                 let offset = (i as u64 + cap - start % cap) % cap;
                 v.occupancy(offset < len);
@@ -181,6 +181,13 @@ impl<T: Default + Clone> CircQ<T> {
             v.occupancy(true);
         }
     }
+}
+
+/// [`CircQ::len`] from the raw pointers, shared with the state walk.
+#[inline]
+fn window_len(head: u64, tail: u64, cap: u64) -> u64 {
+    let c2 = 2 * cap;
+    ((tail % c2 + c2 - head % c2) % c2).min(cap)
 }
 
 /// Physical-register free list: a hardware-style circular buffer where
@@ -302,11 +309,13 @@ impl FreeList {
     /// branch can rewind `head` to any checkpointed value
     /// (`restore_head`), re-exposing slots behind the current head, so a
     /// slot is only dead if no outstanding checkpoint can reach it.
-    /// Returns `(start_slot, live_slots)`.
-    fn restorable_window(&self, restorable_heads: &[u64]) -> (u64, u64) {
-        let c2 = 2 * self.cap();
-        let dist = |h: u64| (self.tail % c2 + c2 - h % c2) % c2;
-        let (mut best, mut best_d) = (self.head, dist(self.head));
+    /// Takes the pointers and capacity as values so the state walk can
+    /// call it while holding its field bindings. Returns
+    /// `(start_slot, live_slots)`.
+    fn restorable_window(head: u64, tail: u64, cap: u64, restorable_heads: &[u64]) -> (u64, u64) {
+        let c2 = 2 * cap;
+        let dist = |h: u64| (tail % c2 + c2 - h % c2) % c2;
+        let (mut best, mut best_d) = (head, dist(head));
         for &h in restorable_heads {
             let d = dist(h);
             if d > best_d {
@@ -315,7 +324,7 @@ impl FreeList {
         }
         // A distance beyond capacity would alias the whole buffer: treat
         // every slot as live (maximally conservative).
-        (best % self.cap(), best_d.min(self.cap()))
+        (best % cap, best_d.min(cap))
     }
 
     /// Visits pointers and contents (RAM region in the hardened-pipeline
@@ -323,14 +332,18 @@ impl FreeList {
     /// held by unresolved branches; slots they can re-expose stay live
     /// for occupancy-reporting purposes.
     pub fn visit<V: StateVisitor>(&mut self, v: &mut V, restorable_heads: &[u64]) {
-        let ptr_width = (64 - (2 * self.cap() - 1).leading_zeros()).max(1);
-        v.word(&mut self.head, ptr_width, FieldClass::Control);
-        v.word(&mut self.tail, ptr_width, FieldClass::Control);
+        let FreeList { slots, head, tail } = self;
+        let cap = slots.len() as u64;
+        let ptr_width = (64 - (2 * cap - 1).leading_zeros()).max(1);
+        v.word(head, ptr_width, FieldClass::Control);
+        v.word(tail, ptr_width, FieldClass::Control);
         let occupancy = v.wants_occupancy();
-        let (start, window) =
-            if occupancy { self.restorable_window(restorable_heads) } else { (0, 0) };
-        let cap = self.cap();
-        for (i, s) in self.slots.iter_mut().enumerate() {
+        let (start, window) = if occupancy {
+            FreeList::restorable_window(*head, *tail, cap, restorable_heads)
+        } else {
+            (0, 0)
+        };
+        for (i, s) in slots.iter_mut().enumerate() {
             if occupancy {
                 let offset = (i as u64 + cap - start) % cap;
                 v.occupancy(offset < window);
