@@ -356,9 +356,9 @@ impl StateVisitor for OccupancyRecorder {
 }
 
 /// Records, for every field in traversal order, its liveness, value,
-/// static mask, and *occupancy group* — the masking-interval map
-/// builder's per-cycle snapshot of a machine (one strictly richer walk
-/// than [`OccupancyRecorder`]).
+/// static mask, and *occupancy group* — one strictly richer snapshot of
+/// a machine than [`OccupancyRecorder`]. The masking-interval map takes
+/// its field table's group numbering from it.
 ///
 /// Field numbering matches [`RangeRecorder::fields`] exactly. The group
 /// index increments on every [`StateVisitor::region`] and
@@ -388,19 +388,6 @@ impl MaskRecorder {
     /// Fresh recorder.
     pub fn new() -> MaskRecorder {
         MaskRecorder::default()
-    }
-
-    /// Clears the recording for reuse on the next walk, keeping the
-    /// vectors' capacity — a map builder walks the same machine tens of
-    /// thousands of times, one walk per cycle.
-    pub fn reset(&mut self) {
-        self.live.clear();
-        self.values.clear();
-        self.masks.clear();
-        self.groups.clear();
-        self.current = false;
-        self.pending_mask = 0;
-        self.group = 0;
     }
 }
 

@@ -7,10 +7,10 @@
 //! golden run per `(workload, configuration)`:
 //!
 //! * **Microarchitectural map** ([`UarchMaskMap`]) — replays the golden
-//!   [`Pipeline`] once, walking every catalog field every cycle with a
-//!   [`MaskRecorder`], and records four families: *dead runs* (cycle
-//!   ranges an occupancy group is vacant), *mask runs* (cycle ranges a
-//!   field's statically-masked bits hold a constant nonzero mask —
+//!   [`Pipeline`] once, walking every catalog field every cycle, and
+//!   records four families: *dead runs* (cycle ranges an occupancy
+//!   group is vacant), *mask runs* (cycle ranges a field's
+//!   statically-masked bits hold a constant nonzero mask —
 //!   unoccupied operand latches, dead ROB bookkeeping, non-control
 //!   prediction state), *armed stamps* (cycles at which a previously
 //!   dead-or-masked field is wholesale overwritten), and *write
@@ -80,7 +80,8 @@ use restore_isa::{Program, Reg};
 use restore_store::Json;
 use restore_uarch::state::{width_mask, StateVisitor};
 use restore_uarch::{
-    FaultState, FieldClass, MaskRecorder, Pipeline, StateCatalog, StateKind, Stop, UarchConfig,
+    CycleReport, FaultState, FieldClass, MaskRecorder, Pipeline, StateCatalog, StateKind, Stop,
+    UarchConfig,
 };
 use restore_workloads::{Scale, WorkloadId};
 use std::collections::HashMap;
@@ -109,19 +110,36 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Lowercase hex digits, indexed by nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
 fn hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        s.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
     }
     s
 }
 
+/// Value of one hex digit (either case); `None` for anything else.
+fn nibble(c: u8) -> Option<u8> {
+    match c {
+        b'0'..=b'9' => Some(c - b'0'),
+        b'a'..=b'f' => Some(c - b'a' + 10),
+        b'A'..=b'F' => Some(c - b'A' + 10),
+        _ => None,
+    }
+}
+
+/// Inverse of [`hex`]: `None` on an odd length or any character that
+/// is not a hex digit (signs included).
 fn unhex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
+    let digits = s.as_bytes();
+    if !digits.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len() / 2).map(|i| u8::from_str_radix(s.get(2 * i..2 * i + 2)?, 16).ok()).collect()
+    digits.chunks_exact(2).map(|p| Some(nibble(p[0])? << 4 | nibble(p[1])?)).collect()
 }
 
 /// Sequential varint reader over a decoded byte buffer.
@@ -262,52 +280,256 @@ fn mask_run_end(runs: &[(u32, u32, u64)], rel_bit: u32, pos: u32) -> Option<u32>
     (pos < e && (m >> rel_bit) & 1 == 1).then_some(e)
 }
 
+/// [`Track`] flag: the field's occupancy group was vacant at the latest
+/// walked cycle.
+const DEAD: u8 = 1;
+/// [`Track`] flag: the shadow replica holds the field flipped.
+const FLIPPED: u8 = 2;
+
+/// What the build loop carries for one field from cycle to cycle.
+#[derive(Clone, Copy, Default)]
+struct Track {
+    /// Golden value at the latest walked cycle.
+    value: u64,
+    /// Static mask at the latest walked cycle; nonzero means a mask run
+    /// is open.
+    mask: u64,
+    /// First cycle of the open mask run.
+    mask_start: u32,
+    /// [`DEAD`] and [`FLIPPED`] bits.
+    flags: u8,
+}
+
+/// The build loop's state and the interval lists it emits.
+///
+/// Both walks' per-field fast paths only *read* the field's [`Track`];
+/// every update (a changed value, mask or deadness, a detected write, a
+/// re-armed flip) goes through an out-of-line method. A store the
+/// compiler cannot prove disjoint from the visitor would make it reload
+/// the visitor's cursor after every field, so a store-free common case
+/// keeps each walk close to the cost of a bare traversal.
+struct Recording {
+    tracks: Vec<Track>,
+    /// Per occupancy group: start of the open dead run.
+    dead_since: Vec<Option<u32>>,
+    dead_runs: Vec<Vec<(u32, u32)>>,
+    stamps: Vec<Vec<u32>>,
+    mask_runs: Vec<Vec<(u32, u32, u64)>>,
+    writes: Vec<Vec<u32>>,
+}
+
+impl Recording {
+    fn new(nfields: usize, ngroups: usize) -> Recording {
+        Recording {
+            tracks: vec![Track::default(); nfields],
+            dead_since: vec![None; ngroups],
+            dead_runs: vec![Vec::new(); ngroups],
+            stamps: vec![Vec::new(); nfields],
+            mask_runs: vec![Vec::new(); nfields],
+            writes: vec![Vec::new(); nfields],
+        }
+    }
+
+    /// Group `g` turned dead (opens its dead run) or live (closes it)
+    /// at cycle `t`.
+    #[inline(never)]
+    fn toggle_group(&mut self, g: usize, t: u32) {
+        match self.dead_since[g].take() {
+            Some(s) => self.dead_runs[g].push((s, t)),
+            None => self.dead_since[g] = Some(t),
+        }
+    }
+
+    /// Field `f` at cycle `t` differs from its track in value, mask or
+    /// deadness. A value change while the field was protected (dead or
+    /// masked) on the previous cycle is a wholesale overwrite: a stamp.
+    /// A mask change closes the open mask run and opens the next.
+    #[inline(never)]
+    fn golden_changed(&mut self, f: usize, value: u64, mask: u64, dead: u8, t: u32) {
+        let track = &mut self.tracks[f];
+        if value != track.value && (track.flags & DEAD != 0 || track.mask != 0) {
+            self.stamps[f].push(t);
+        }
+        track.value = value;
+        if mask != track.mask {
+            if track.mask != 0 {
+                self.mask_runs[f].push((track.mask_start, t, track.mask));
+            }
+            track.mask_start = t;
+            track.mask = mask;
+        }
+        track.flags = (track.flags & FLIPPED) | dead;
+    }
+
+    /// The shadow's field `f` at cycle `t` either disagrees with its
+    /// flip state or must be flipped. A flipped field back at golden was
+    /// written; an unflipped field off golden means a dead flip steered
+    /// live computation, which falsifies the occupancy axiom. A dead
+    /// field not holding a flip is flipped.
+    #[inline(never)]
+    fn shadow_event(&mut self, f: usize, value: &mut u64, width: u32, t: u32) {
+        let track = &mut self.tracks[f];
+        let mut flipped = track.flags & FLIPPED != 0;
+        if flipped == (*value == track.value) {
+            assert!(
+                flipped,
+                "shadow replica diverged from golden at field {f}, cycle {t}: \
+                 a dead-field flip steered live computation"
+            );
+            self.writes[f].push(t);
+            flipped = false;
+        }
+        if track.flags & DEAD != 0 && !flipped {
+            *value ^= width_mask(width);
+            flipped = true;
+        }
+        track.flags = (track.flags & DEAD) | if flipped { FLIPPED } else { 0 };
+    }
+
+    /// Closes runs still open after the last walked cycle at `end`.
+    fn close(&mut self, end: u32) {
+        for (runs, open) in self.dead_runs.iter_mut().zip(&self.dead_since) {
+            if let Some(s) = *open {
+                runs.push((s, end));
+            }
+        }
+        for (runs, track) in self.mask_runs.iter_mut().zip(&self.tracks) {
+            if track.mask != 0 {
+                runs.push((track.mask_start, end, track.mask));
+            }
+        }
+    }
+}
+
+/// The trait's narrow-field visits, as its default bodies but forced
+/// inline, so a build-loop walk's per-field fast path never sits behind
+/// a call.
+macro_rules! inline_narrow_fields {
+    () => {
+        #[inline(always)]
+        fn flag(&mut self, value: &mut bool) {
+            let mut v = u64::from(*value);
+            self.word(&mut v, 1, FieldClass::Control);
+            *value = v & 1 != 0;
+        }
+
+        #[inline(always)]
+        fn word32(&mut self, value: &mut u32, width: u32, class: FieldClass) {
+            debug_assert!(width <= 32);
+            let mut v = u64::from(*value);
+            self.word(&mut v, width, class);
+            *value = v as u32;
+        }
+
+        #[inline(always)]
+        fn word8(&mut self, value: &mut u8, width: u32, class: FieldClass) {
+            debug_assert!(width <= 8);
+            let mut v = u64::from(*value);
+            self.word(&mut v, width, class);
+            *value = v as u8;
+        }
+    };
+}
+
+/// One build-loop walk over the golden machine at cycle `t`: compares
+/// each field's value, mask and deadness with its [`Track`] and hands
+/// any difference to [`Recording::golden_changed`].
+///
+/// Liveness is constant within an occupancy group, so a group's
+/// deadness is the walk's current occupancy flag, settled at the
+/// group's first field.
+struct GoldenWalk<'a> {
+    rec: &'a mut Recording,
+    /// Per field: occupancy group ([`Shape::group_of`]).
+    group_of: &'a [u32],
+    t: u32,
+    idx: usize,
+    live: bool,
+    pending_mask: u64,
+    /// Group whose deadness was last settled (`u32::MAX`: none yet).
+    settled: u32,
+}
+
+impl StateVisitor for GoldenWalk<'_> {
+    fn region(&mut self, _name: &'static str, _kind: StateKind) {
+        self.live = true;
+        self.pending_mask = 0;
+    }
+
+    #[inline(always)]
+    fn word(&mut self, value: &mut u64, width: u32, _class: FieldClass) {
+        let f = self.idx;
+        self.idx += 1;
+        let g = self.group_of[f];
+        if g != self.settled {
+            self.settled = g;
+            let g = g as usize;
+            if self.rec.dead_since[g].is_some() == self.live {
+                self.rec.toggle_group(g, self.t);
+            }
+        }
+        let mask = self.pending_mask & width_mask(width);
+        self.pending_mask = 0;
+        let dead = if self.live { 0 } else { DEAD };
+        let track = &self.rec.tracks[f];
+        if *value != track.value || mask != track.mask || dead != track.flags & DEAD {
+            self.rec.golden_changed(f, *value, mask, dead, self.t);
+        }
+    }
+
+    inline_narrow_fields!();
+
+    fn occupancy(&mut self, live: bool) {
+        self.live = live;
+    }
+
+    fn wants_occupancy(&self) -> bool {
+        true
+    }
+
+    fn masked(&mut self, mask: u64) {
+        self.pending_mask = mask;
+    }
+
+    fn wants_masks(&self) -> bool {
+        true
+    }
+}
+
 /// One build-loop walk over the shadow replica: detects writes and
-/// re-arms flips, field by field, against the golden values recorded
-/// in the same cycle.
+/// re-arms flips, field by field, against the golden values the
+/// [`GoldenWalk`] of the same cycle recorded.
 ///
 /// A field flipped on a previous walk converging back to its golden
 /// value can only mean the machine wrote it (the live trajectories are
 /// identical, so golden's write lands in the shadow too — with the
 /// same value). A field that is *not* flipped must always equal
 /// golden: any mismatch means a dead flip steered live computation,
-/// which falsifies the occupancy axiom, so the walk fails loudly.
+/// which falsifies the occupancy axiom, so the walk fails loudly
+/// ([`Recording::shadow_event`]).
 struct ShadowTracer<'a> {
-    /// Golden per-field values at this cycle, traversal order.
-    golden: &'a [u64],
-    /// Per-field deadness at this cycle (the field's occupancy group).
-    dead: &'a [bool],
-    /// Per-field "shadow still holds a flip" state, across cycles.
-    flipped: &'a mut [bool],
-    /// Per-field detected write cycles (output).
-    writes: &'a mut [Vec<u32>],
+    rec: &'a mut Recording,
     t: u32,
     idx: usize,
 }
 
 impl StateVisitor for ShadowTracer<'_> {
     fn region(&mut self, _name: &'static str, _kind: StateKind) {}
+
+    #[inline(always)]
     fn word(&mut self, value: &mut u64, width: u32, _class: FieldClass) {
         let f = self.idx;
         self.idx += 1;
-        if self.flipped[f] {
-            if *value == self.golden[f] {
-                self.writes[f].push(self.t);
-                self.flipped[f] = false;
-            }
-        } else {
-            assert_eq!(
-                *value, self.golden[f],
-                "shadow replica diverged from golden at field {f}, cycle {}: \
-                 a dead-field flip steered live computation",
-                self.t
-            );
-        }
-        if self.dead[f] && !self.flipped[f] {
-            *value ^= width_mask(width);
-            self.flipped[f] = true;
+        let track = &self.rec.tracks[f];
+        let flipped = track.flags & FLIPPED != 0;
+        // Flipped but back at golden, unflipped but off golden, or dead
+        // without a flip: all handled out of line.
+        if flipped == (*value == track.value) || track.flags == DEAD {
+            self.rec.shadow_event(f, value, width, self.t);
         }
     }
+
+    inline_narrow_fields!();
 }
 
 /// Total length of `runs` clipped to `[0, clip)`.
@@ -315,9 +537,30 @@ fn clipped_len(runs: &[(u32, u32)], clip: u32) -> u64 {
     runs.iter().map(|&(s, e)| u64::from(e.min(clip).saturating_sub(s))).sum()
 }
 
-/// Length of the intersection of `runs` with `[lo, hi)`.
-fn overlap_len(runs: &[(u32, u32)], lo: u32, hi: u32) -> u64 {
-    runs.iter().map(|&(s, e)| u64::from(e.min(hi).saturating_sub(s.max(lo)))).sum()
+/// Masked-but-live bit-cycles of one field over `[0, span)`: each mask
+/// run, clipped to `span`, weighs its mask's popcount by its length
+/// minus its overlap with the field's dead runs. Both lists are sorted
+/// and disjoint, so one forward pointer into `dead` makes the fold
+/// linear in the two lengths.
+fn masked_live_bitcycles(dead: &[(u32, u32)], masks: &[(u32, u32, u64)], span: u32) -> u64 {
+    let mut masked = 0u64;
+    let mut j = 0;
+    for &(ms, me, m) in masks {
+        let (ms, me) = (ms.min(span), me.min(span));
+        if ms >= me {
+            continue;
+        }
+        while j < dead.len() && dead[j].1 <= ms {
+            j += 1;
+        }
+        let overlap: u64 = dead[j..]
+            .iter()
+            .take_while(|&&(ds, _)| ds < me)
+            .map(|&(ds, de)| u64::from(de.min(me) - ds.max(ms)))
+            .sum();
+        masked += u64::from(m.count_ones()) * (u64::from(me - ms) - overlap);
+    }
+    masked
 }
 
 // ---------------------------------------------------------------------------
@@ -418,9 +661,11 @@ pub struct UarchMaskMap {
 
 impl UarchMaskMap {
     /// Builds the map by replaying the golden run from cycle 0 up to
-    /// `horizon` (or the run's end), one [`MaskRecorder`] walk per
-    /// cycle. `digest` is the caller's configuration digest, embedded
-    /// so persisted maps can never be misapplied.
+    /// `horizon` (or the run's end). Each cycle takes one walk over the
+    /// golden machine, which emits the dead-run, stamp and mask-run
+    /// events as it goes, and one over the shadow replica, which emits
+    /// the writes. `digest` is the caller's configuration digest,
+    /// embedded so persisted maps can never be misapplied.
     pub fn build(
         uarch: &UarchConfig,
         program: &Program,
@@ -431,34 +676,14 @@ impl UarchMaskMap {
         let shape = Shape::of_pipeline(&mut pipe);
         let nfields = shape.field_starts.len();
 
-        let mut map = UarchMaskMap {
-            digest,
-            last: 0,
-            dead_runs: vec![Vec::new(); shape.ngroups],
-            stamps: vec![Vec::new(); nfields],
-            mask_runs: vec![Vec::new(); nfields],
-            writes: vec![Vec::new(); nfields],
-            drain_end: Vec::new(),
-            field_starts: shape.field_starts,
-            widths: shape.widths,
-            group_of: shape.group_of,
-        };
+        let mut rec = Recording::new(nfields, shape.ngroups);
 
         // The shadow replica: the same machine replayed in lockstep
         // with every dead field flipped, re-flipped after each
         // detected write. Convergence back to the golden value is the
-        // write detector behind `map.writes`.
+        // write detector behind `rec.writes`.
         let mut shadow = Pipeline::new(uarch.clone(), program);
-        let mut flipped = vec![false; nfields];
-        let mut dead_field = vec![false; nfields];
-
-        let mut rec = MaskRecorder::new();
-        pipe.visit_state(&mut rec);
-        let mut prev_values: Vec<u64> = Vec::new();
-        let mut armed = vec![false; nfields];
-        let mut group_dead = vec![false; shape.ngroups];
-        let mut dead_since: Vec<Option<u32>> = vec![None; shape.ngroups];
-        let mut open_mask: Vec<(u32, u64)> = vec![(0, 0); nfields];
+        let (mut report, mut shadow_report) = (CycleReport::default(), CycleReport::default());
         let mut retired_at: Vec<u32> = Vec::new();
         let mut inflight_at: Vec<u32> = Vec::new();
 
@@ -467,62 +692,24 @@ impl UarchMaskMap {
             retired_at
                 .push(u32::try_from(pipe.retired()).expect("retired fits interval coordinates"));
             inflight_at.push(u32::try_from(pipe.in_flight()).expect("in-flight count fits a u32"));
-            // Group deadness: every field between two occupancy calls
-            // shares the recorder's sticky liveness, so any member's
-            // flag is the group's.
-            group_dead.iter_mut().for_each(|g| *g = false);
-            for (f, &live) in rec.live.iter().enumerate() {
-                if !live {
-                    group_dead[map.group_of[f] as usize] = true;
-                }
-            }
-            for (g, open) in dead_since.iter_mut().enumerate() {
-                match (*open, group_dead[g]) {
-                    (None, true) => *open = Some(t),
-                    (Some(s), false) => {
-                        map.dead_runs[g].push((s, t));
-                        *open = None;
-                    }
-                    _ => {}
-                }
-            }
-            if t > 0 {
-                for (f, (&v, &pv)) in rec.values.iter().zip(prev_values.iter()).enumerate() {
-                    if v != pv && armed[f] {
-                        map.stamps[f].push(t);
-                    }
-                }
-            }
+            let mut golden = GoldenWalk {
+                rec: &mut rec,
+                group_of: &shape.group_of,
+                t,
+                idx: 0,
+                live: false,
+                pending_mask: 0,
+                settled: u32::MAX,
+            };
+            pipe.visit_state(&mut golden);
+            assert_eq!(golden.idx, nfields, "field numbering drifted at cycle {t}");
             // Walk the shadow replica against this cycle's golden
             // values: detect writes (flipped fields converging back to
             // golden), assert the live trajectory is undisturbed, and
             // re-arm flips in every currently-dead field.
-            for (f, df) in dead_field.iter_mut().enumerate() {
-                *df = group_dead[map.group_of[f] as usize];
-            }
-            let mut tracer = ShadowTracer {
-                golden: &rec.values,
-                dead: &dead_field,
-                flipped: &mut flipped,
-                writes: &mut map.writes,
-                t,
-                idx: 0,
-            };
+            let mut tracer = ShadowTracer { rec: &mut rec, t, idx: 0 };
             shadow.visit_state(&mut tracer);
-            assert_eq!(tracer.idx, nfields, "shadow walk and recorder disagree on field count");
-            for (f, &m) in rec.masks.iter().enumerate() {
-                let (start, cur) = open_mask[f];
-                if m != cur {
-                    if cur != 0 {
-                        map.mask_runs[f].push((start, t, cur));
-                    }
-                    open_mask[f] = (t, m);
-                }
-            }
-            for (f, a) in armed.iter_mut().enumerate() {
-                *a = group_dead[map.group_of[f] as usize] || rec.masks[f] != 0;
-            }
-            std::mem::swap(&mut prev_values, &mut rec.values);
+            assert_eq!(tracer.idx, nfields, "shadow walk and golden walk disagree on field count");
 
             assert_eq!(
                 shadow.status(),
@@ -532,27 +719,14 @@ impl UarchMaskMap {
             if pipe.status() != Stop::Running || u64::from(t) >= horizon {
                 break;
             }
-            pipe.cycle();
-            shadow.cycle();
+            pipe.cycle_into(&mut report);
+            shadow.cycle_into(&mut shadow_report);
             t += 1;
-            rec.reset();
-            pipe.visit_state(&mut rec);
-            assert_eq!(rec.values.len(), nfields, "field numbering drifted at cycle {t}");
         }
         // Close runs still open at the end of the recording. Their ends
         // are never consulted past a stamp (stamps stop at `last` too),
         // so the clip to `last + 1` cannot over-claim protection.
-        let end = t + 1;
-        for (g, open) in dead_since.iter_mut().enumerate() {
-            if let Some(s) = open.take() {
-                map.dead_runs[g].push((s, end));
-            }
-        }
-        for (f, &(start, cur)) in open_mask.iter().enumerate() {
-            if cur != 0 {
-                map.mask_runs[f].push((start, end, cur));
-            }
-        }
+        rec.close(t + 1);
         // Drain horizon per cycle: first recorded cycle whose retired
         // count proves every instruction in flight has left the
         // machine. Squashed wrong-path instructions never retire, so
@@ -565,7 +739,7 @@ impl UarchMaskMap {
         // horizon is also always sound) so it delta-encodes like the
         // stamp streams.
         let unreachable = if pipe.status() == Stop::Running { u32::MAX } else { t };
-        map.drain_end = vec![u32::MAX; retired_at.len()];
+        let mut drain_end = vec![u32::MAX; retired_at.len()];
         let mut floor = 0u32;
         for (tc, (&r, &fl)) in retired_at.iter().zip(inflight_at.iter()).enumerate() {
             let target = u64::from(r) + u64::from(fl);
@@ -576,10 +750,20 @@ impl UarchMaskMap {
                 unreachable
             };
             floor = floor.max(horizon);
-            map.drain_end[tc] = floor;
+            drain_end[tc] = floor;
         }
-        map.last = t;
-        map
+        UarchMaskMap {
+            digest,
+            last: t,
+            field_starts: shape.field_starts,
+            widths: shape.widths,
+            group_of: shape.group_of,
+            dead_runs: rec.dead_runs,
+            stamps: rec.stamps,
+            mask_runs: rec.mask_runs,
+            writes: rec.writes,
+            drain_end,
+        }
     }
 
     /// The configuration digest this map was built under.
@@ -720,25 +904,19 @@ impl UarchMaskMap {
     /// runs are counted once, as dead).
     pub fn avf(&self, catalog: &StateCatalog) -> Vec<AvfRow> {
         let span = self.last;
+        let dead_len: Vec<u64> = self.dead_runs.iter().map(|r| clipped_len(r, span)).collect();
         catalog
             .regions
             .iter()
             .map(|r| {
+                let lo = catalog.fields.partition_point(|&(s, _, _)| s < r.start);
+                let hi = catalog.fields.partition_point(|&(s, _, _)| s < r.start + r.len);
                 let mut dead = 0u64;
                 let mut masked = 0u64;
-                for (f, &(start, width, _)) in catalog.fields.iter().enumerate() {
-                    if start < r.start || start >= r.start + r.len {
-                        continue;
-                    }
-                    let druns = &self.dead_runs[self.group_of[f] as usize];
-                    dead += u64::from(width) * clipped_len(druns, span);
-                    for &(ms, me, m) in &self.mask_runs[f] {
-                        let (ms, me) = (ms.min(span), me.min(span));
-                        if ms < me {
-                            let live_part = u64::from(me - ms) - overlap_len(druns, ms, me);
-                            masked += u64::from(m.count_ones()) * live_part;
-                        }
-                    }
+                for (f, &(_, width, _)) in catalog.fields.iter().enumerate().take(hi).skip(lo) {
+                    let g = self.group_of[f] as usize;
+                    dead += u64::from(width) * dead_len[g];
+                    masked += masked_live_bitcycles(&self.dead_runs[g], &self.mask_runs[f], span);
                 }
                 AvfRow {
                     name: r.name.to_owned(),
@@ -1174,8 +1352,120 @@ pub fn arch_map(workload: WorkloadId, scale: Scale, map_dir: Option<&Path>) -> A
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use restore_isa::{layout, Asm};
     use restore_uarch::OccupancyRecorder;
+
+    /// Length of the intersection of `runs` with `[lo, hi)`.
+    fn overlap_len(runs: &[(u32, u32)], lo: u32, hi: u32) -> u64 {
+        runs.iter().map(|&(s, e)| u64::from(e.min(hi).saturating_sub(s.max(lo)))).sum()
+    }
+
+    /// The quadratic fold [`masked_live_bitcycles`] replaced, kept as its
+    /// oracle: every mask run against every dead run.
+    fn masked_live_oracle(dead: &[(u32, u32)], masks: &[(u32, u32, u64)], span: u32) -> u64 {
+        let mut masked = 0u64;
+        for &(ms, me, m) in masks {
+            let (ms, me) = (ms.min(span), me.min(span));
+            if ms < me {
+                let live_part = u64::from(me - ms) - overlap_len(dead, ms, me);
+                masked += u64::from(m.count_ones()) * live_part;
+            }
+        }
+        masked
+    }
+
+    /// Sorted, disjoint, non-empty runs from `(gap, len)` pairs; a zero
+    /// gap makes a run start where the previous one ended.
+    fn runs_from(steps: &[(u32, u32)]) -> Vec<(u32, u32)> {
+        let mut end = 0;
+        steps
+            .iter()
+            .map(|&(gap, len)| {
+                let s = end + gap;
+                end = s + len;
+                (s, end)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The linear fold equals the quadratic oracle on random sorted,
+        /// disjoint dead and mask runs, including runs that straddle or
+        /// lie past `span`; the dead bit-cycles are unchanged too.
+        #[test]
+        fn linear_fold_matches_the_quadratic_oracle(
+            dead_steps in prop::collection::vec((0u32..12, 1u32..25), 0..24),
+            mask_steps in prop::collection::vec((0u32..12, 1u32..25), 0..24),
+            masks in prop::collection::vec(any::<u64>(), 24),
+            span in 0u32..500,
+        ) {
+            let dead = runs_from(&dead_steps);
+            let mask_runs: Vec<(u32, u32, u64)> =
+                runs_from(&mask_steps).iter().zip(&masks).map(|(&(s, e), &m)| (s, e, m)).collect();
+            prop_assert_eq!(
+                masked_live_bitcycles(&dead, &mask_runs, span),
+                masked_live_oracle(&dead, &mask_runs, span)
+            );
+            prop_assert_eq!(clipped_len(&dead, span), overlap_len(&dead, 0, span));
+        }
+
+        /// `unhex` inverts `hex` on any byte string.
+        #[test]
+        fn hex_roundtrips(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+            prop_assert_eq!(unhex(&hex(&bytes)), Some(bytes));
+        }
+    }
+
+    #[test]
+    fn hex_encodes_every_byte_as_two_lowercase_digits() {
+        for b in 0..=u8::MAX {
+            assert_eq!(hex(&[b]), format!("{b:02x}"));
+        }
+    }
+
+    #[test]
+    fn unhex_rejects_odd_lengths_non_hex_and_signs() {
+        assert_eq!(unhex(""), Some(vec![]));
+        assert_eq!(unhex("00ff7A"), Some(vec![0x00, 0xff, 0x7a]));
+        for bad in ["f", "abc", "0g", "zz", " f", "f ", "0x", "+f", "-1", "+0ff", "é0"] {
+            assert_eq!(unhex(bad), None, "{bad:?} must not decode");
+        }
+    }
+
+    #[test]
+    fn corrupted_run_string_forces_a_rebuild() {
+        let program = WorkloadId::Mcfx.build(Scale::smoke());
+        let uarch = UarchConfig::default();
+        let map = UarchMaskMap::build(&uarch, &program, 120, 5);
+        let Json::Obj(fields) = map.to_json() else { panic!("a map renders as an object") };
+        for key in ["dead", "stamps", "masks", "writes"] {
+            for bad in ["+f", "0", "zz", "8f"] {
+                let corrupt: Vec<(String, Json)> = fields
+                    .iter()
+                    .map(|(k, v)| match v {
+                        Json::Arr(items) if k == key => {
+                            let mut items = items.clone();
+                            items[1] = Json::from(bad);
+                            (k.clone(), Json::Arr(items))
+                        }
+                        _ => (k.clone(), v.clone()),
+                    })
+                    .collect();
+                assert!(
+                    UarchMaskMap::from_json(&Json::Obj(corrupt), &uarch, &program, 5).is_none(),
+                    "{key}[1] = {bad:?} must not load"
+                );
+            }
+        }
+        let bad_drain: Vec<(String, Json)> = fields
+            .iter()
+            .map(|(k, v)| (k.clone(), if k == "drain" { Json::from("+f") } else { v.clone() }))
+            .collect();
+        assert!(UarchMaskMap::from_json(&Json::Obj(bad_drain), &uarch, &program, 5).is_none());
+    }
 
     fn smoke_map(horizon: u64) -> (UarchMaskMap, Pipeline) {
         let program = WorkloadId::Mcfx.build(Scale::smoke());
