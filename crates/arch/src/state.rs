@@ -419,39 +419,6 @@ impl StateVisitor for MaskRecorder {
     }
 }
 
-/// XORs every field marked dead in a prior [`OccupancyRecorder`] pass
-/// with its full width mask — the audit probe behind the liveness
-/// oracle: if dead fields truly cannot be read before being rewritten,
-/// a machine perturbed this way must evolve identically to the
-/// unperturbed one on every live observable.
-#[derive(Debug)]
-pub struct DeadStatePerturber<'a> {
-    live: &'a [bool],
-    idx: usize,
-}
-
-impl<'a> DeadStatePerturber<'a> {
-    /// Perturber over `live` flags recorded from the same machine state.
-    pub fn new(live: &'a [bool]) -> DeadStatePerturber<'a> {
-        DeadStatePerturber { live, idx: 0 }
-    }
-
-    /// Fields visited so far (must equal `live.len()` after the walk).
-    pub fn visited(&self) -> usize {
-        self.idx
-    }
-}
-
-impl StateVisitor for DeadStatePerturber<'_> {
-    fn region(&mut self, _name: &'static str, _kind: StateKind) {}
-    fn word(&mut self, value: &mut u64, width: u32, _class: FieldClass) {
-        if !self.live[self.idx] {
-            *value ^= width_mask(width);
-        }
-        self.idx += 1;
-    }
-}
-
 /// One named region of the global bit space.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateRegion {
@@ -903,19 +870,6 @@ mod tests {
         let f = cat.field_index_of(9).unwrap();
         let (start, _, _) = cat.fields[f];
         assert_ne!(rec.masks[f] & (1 << (9 - start)), 0);
-    }
-
-    #[test]
-    fn dead_state_perturber_flips_only_dead_fields() {
-        let mut d = HalfDead { live_word: 0xAB, dead_word: 0xCD, flag: true };
-        let mut rec = OccupancyRecorder::new();
-        d.visit_state(&mut rec);
-        let mut p = DeadStatePerturber::new(&rec.live);
-        d.visit_state(&mut p);
-        assert_eq!(p.visited(), rec.live.len());
-        assert_eq!(d.live_word, 0xAB);
-        assert!(d.flag);
-        assert_eq!(d.dead_word, 0xCD ^ 0xFFFF);
     }
 
     #[test]

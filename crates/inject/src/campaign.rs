@@ -67,11 +67,14 @@ pub(crate) struct PointStats {
     /// Trials at this point the masking-interval map classified
     /// statically.
     pub interval_pruned: u64,
-    /// 1 if the point's liveness oracle paid its shadow run.
+    /// 1 if the point's residue shadow ran.
     pub shadow_runs: u64,
     /// 1 if the point drew dead bits (which would have forced the
     /// shadow run) but the interval map answered every one.
     pub shadow_runs_avoided: u64,
+    /// Trials at this point cut at a boundary where only dead state
+    /// differed from golden (a subset of the point's cut trials).
+    pub residue_cuts: u64,
 }
 
 /// A fault model: the primitives one abstraction level contributes to
@@ -344,6 +347,7 @@ where
             out.trials_interval_pruned += ps.interval_pruned;
             out.shadow_runs += ps.shadow_runs;
             out.shadow_runs_avoided += ps.shadow_runs_avoided;
+            out.trials_residue_cut += ps.residue_cuts;
             out.trial_secs = t0.elapsed().as_secs_f64();
             out
         },

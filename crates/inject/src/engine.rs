@@ -91,11 +91,15 @@ pub struct CampaignStats {
     /// Observation-window cycles actually simulated by trials (golden
     /// runs excluded — they run once per unit regardless of the cutoff).
     pub cycles_simulated: u64,
-    /// Window cycles skipped because a trial's fingerprint matched the
-    /// golden run's at a stride boundary (reconvergence cutoff).
+    /// Window cycles skipped because a trial reconverged with the golden
+    /// run at a stride boundary (reconvergence cutoff).
     pub cycles_saved: u64,
     /// Trials cut short by the reconvergence cutoff.
     pub trials_cut: u64,
+    /// The subset of `trials_cut` cut at a boundary where the trial
+    /// differed from golden only in fields the occupancy walk marks
+    /// dead (the residue cut), rather than matching it exactly.
+    pub trials_residue_cut: u64,
     /// Trials classified by the liveness oracle without simulating
     /// their window (dead-state pruning). Includes the
     /// `trials_interval_pruned` subset, so the
@@ -108,8 +112,8 @@ pub struct CampaignStats {
     /// masking-interval map (`--prune interval`) — zero simulated
     /// cycles *and* zero shadow runs.
     pub trials_interval_pruned: u64,
-    /// Injection points whose per-point liveness oracle actually paid
-    /// its shadow run (window + drain replay) this run.
+    /// Injection points whose residue shadow (window + drain replay,
+    /// run for the liveness oracle or the residue cut) actually ran.
     pub shadow_runs: u64,
     /// Injection points where at least one drawn bit was occupancy-dead
     /// — which under `--prune on` forces the point's shadow run — but
@@ -181,6 +185,7 @@ impl CampaignStats {
         self.cycles_simulated += other.cycles_simulated;
         self.cycles_saved += other.cycles_saved;
         self.trials_cut += other.trials_cut;
+        self.trials_residue_cut += other.trials_residue_cut;
         self.trials_pruned += other.trials_pruned;
         self.cycles_pruned += other.cycles_pruned;
         self.trials_interval_pruned += other.trials_interval_pruned;
@@ -223,11 +228,13 @@ impl fmt::Display for CampaignStats {
             )?;
         }
         if self.trials_cut > 0 {
+            write!(f, "; cutoff ended {}/{} trials early", self.trials_cut, self.trials)?;
+            if self.trials_residue_cut > 0 {
+                write!(f, " ({} at dead residue)", self.trials_residue_cut)?;
+            }
             write!(
                 f,
-                "; cutoff ended {}/{} trials early, skipping {} of {} window cycles ({:.0}%)",
-                self.trials_cut,
-                self.trials,
+                ", skipping {} of {} window cycles ({:.0}%)",
                 self.cycles_saved,
                 self.cycles_simulated + self.cycles_saved,
                 100.0 * self.cycles_saved_fraction(),
@@ -295,8 +302,10 @@ pub(crate) struct UnitOutput<R> {
     pub cycles_simulated: u64,
     /// Trial window cycles skipped by the reconvergence cutoff.
     pub cycles_saved: u64,
-    /// Trials this unit cut short at a fingerprint match.
+    /// Trials this unit cut short at a reconvergence boundary.
     pub trials_cut: u64,
+    /// The subset of `trials_cut` taken by the residue cut.
+    pub trials_residue_cut: u64,
     /// Trials this unit classified via the liveness oracle.
     pub trials_pruned: u64,
     /// Trial window cycles the pruned trials would have needed.
@@ -329,6 +338,7 @@ impl<R> Default for UnitOutput<R> {
             cycles_simulated: 0,
             cycles_saved: 0,
             trials_cut: 0,
+            trials_residue_cut: 0,
             trials_pruned: 0,
             cycles_pruned: 0,
             trials_interval_pruned: 0,
@@ -364,7 +374,7 @@ where
     let (tx, rx) = channel::bounded::<(usize, U)>(threads * 2);
     let collected: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
     let stage_secs: Mutex<(f64, f64, f64)> = Mutex::new((0.0, 0.0, 0.0));
-    let cycle_counts: Mutex<[u64; 13]> = Mutex::new([0; 13]);
+    let cycle_counts: Mutex<[u64; 14]> = Mutex::new([0; 14]);
 
     let wall0 = Instant::now();
     let mut produce_secs = 0.0;
@@ -401,6 +411,7 @@ where
                         cc[10] += out.trials_interval_pruned;
                         cc[11] += out.shadow_runs;
                         cc[12] += out.shadow_runs_avoided;
+                        cc[13] += out.trials_residue_cut;
                     }
                     collected.lock().push((index, out.results));
                 }
@@ -428,7 +439,7 @@ where
     debug_assert!(collected.iter().enumerate().all(|(i, (idx, _))| i == *idx));
 
     let (sweep_secs, golden_secs, trial_secs) = stage_secs.into_inner();
-    let [cycles_simulated, cycles_saved, trials_cut, trials_pruned, cycles_pruned, checkpoint_hits, checkpoint_misses, warmup_cycles_saved, trials_cached, cycles_cached, trials_interval_pruned, shadow_runs, shadow_runs_avoided] =
+    let [cycles_simulated, cycles_saved, trials_cut, trials_pruned, cycles_pruned, checkpoint_hits, checkpoint_misses, warmup_cycles_saved, trials_cached, cycles_cached, trials_interval_pruned, shadow_runs, shadow_runs_avoided, trials_residue_cut] =
         cycle_counts.into_inner();
     let results: Vec<R> = collected.into_iter().flat_map(|(_, r)| r).collect();
     let stats = CampaignStats {
@@ -443,6 +454,7 @@ where
         cycles_simulated,
         cycles_saved,
         trials_cut,
+        trials_residue_cut,
         trials_pruned,
         cycles_pruned,
         trials_interval_pruned,
@@ -473,6 +485,7 @@ mod tests {
             cycles_simulated: 100,
             cycles_saved: 50,
             trials_cut: 1,
+            trials_residue_cut: u64::from(u.is_multiple_of(3)),
             trials_pruned: 1,
             cycles_pruned: 25,
             trials_interval_pruned: 1,
@@ -506,6 +519,7 @@ mod tests {
             assert_eq!(stats.cycles_simulated, 57 * 100);
             assert_eq!(stats.cycles_saved, 57 * 50);
             assert_eq!(stats.trials_cut, 57);
+            assert_eq!(stats.trials_residue_cut, 19);
             assert_eq!(stats.trials_pruned, 57);
             assert_eq!(stats.cycles_pruned, 57 * 25);
             assert_eq!(stats.trials_interval_pruned, 57);
@@ -520,7 +534,10 @@ mod tests {
             assert!((stats.cycles_saved_fraction() - 1.0 / 3.0).abs() < 1e-12);
             let line = stats.to_string();
             assert_eq!(line, stats.summary());
-            assert!(line.contains("cutoff ended 57/114 trials early"), "{line}");
+            assert!(
+                line.contains("cutoff ended 57/114 trials early (19 at dead residue), "),
+                "{line}"
+            );
             assert!(line.contains("pruned 57/114 trials"), "{line}");
             assert!(
                 line.contains(
@@ -556,6 +573,7 @@ mod tests {
             cycles_simulated: 5_700,
             cycles_saved: 2_850,
             trials_cut: 57,
+            trials_residue_cut: 19,
             trials_pruned: 57,
             cycles_pruned: 1_425,
             trials_interval_pruned: 57,
@@ -581,6 +599,7 @@ mod tests {
             cycles_simulated: units * 100,
             cycles_saved: units * 50,
             trials_cut: units,
+            trials_residue_cut: shadow,
             trials_pruned: units,
             cycles_pruned: units * 25,
             trials_interval_pruned: units,

@@ -45,6 +45,7 @@ mod campaign;
 mod classify;
 mod engine;
 mod liveness;
+mod planes;
 mod seeding;
 pub mod stats;
 mod uarch_campaign;

@@ -1,120 +1,116 @@
 //! The **liveness oracle** behind dead-state injection pruning
-//! ([`crate::PruneMode`]).
+//! ([`crate::PruneMode`]) and the residue-aware reconvergence cutoff.
 //!
-//! At an injection point, occupancy metadata (ROB/IQ/LSQ valid windows,
-//! the rename free list, fetch/decode latch valid flags) proves many
-//! catalog fields *dead*: their current value cannot be read before its
-//! next overwrite, so no single-bit flip inside them can steer the live
-//! computation. [`restore_uarch::OccupancyRecorder`] reports exactly
-//! that per-field verdict through the same `visit_state` traversal that
-//! numbers the bits, so the oracle and the injector agree on which bit
-//! is which by construction.
+//! At any cycle, occupancy metadata (ROB/IQ/LSQ valid windows, the
+//! rename free list, fetch/decode latch valid flags) proves many catalog
+//! fields *dead*: their current value cannot be read before its next
+//! overwrite, so no value inside them can steer the live computation.
+//! The golden run records that verdict per field at the injection point
+//! and at every stride boundary ([`crate::planes`]), through the same
+//! `visit_state` traversal that numbers the bits, so the oracle and the
+//! injector agree on which bit is which by construction.
 //!
-//! Deadness alone does **not** decide the trial record: a dead field
-//! that is never overwritten inside the observation window leaves the
-//! flip resident in microarchitectural state, which the campaign's
-//! end-of-window hash comparison classifies as `DeadResidue`, not
-//! `MaskedClean`. The oracle therefore runs one **shadow run** per
-//! injection point (lazily, on the first dead draw): it clones the
-//! point, flips *every* dead field wholesale
-//! ([`restore_uarch::DeadStatePerturber`]), and replays the window plus
-//! drain. Because dead state cannot influence live evolution, the
-//! shadow's live trajectory must equal the golden run's — asserted
-//! field-by-field — and each dead field ends either rewritten (equal to
-//! the golden end value) or untouched (equal to its flipped original).
-//! That written/untouched verdict is exactly what distinguishes
-//! `MaskedClean` from `DeadResidue` for every single-bit trial at the
-//! point, so one shadow run prices all dead trials of the point.
+//! Deadness alone does **not** decide a trial record: a dead field that
+//! is never overwritten before the end of the drain leaves the
+//! difference resident in microarchitectural state, which the
+//! end-of-trial hash comparison classifies as `DeadResidue`, not
+//! `MaskedClean`. One **residue shadow** per injection point
+//! ([`ResidueVerdicts::shadow`], run lazily the first time a trial at the
+//! point needs a verdict) decides that for every field at every
+//! recorded boundary: it clones the point, flips every dead field
+//! wholesale at the injection point, and replays the window plus drain.
+//! At each boundary it flips every field that is dead there and not
+//! already carrying a flip, so each flip is an *episode* that starts
+//! where its field is dead and ends when the field equals golden again
+//! (rewritten) or at the end of the drain (residue). The verdict for
+//! field `f` at boundary `b` is the verdict of the episode covering `b`.
 //!
-//! The written test is unambiguous: an untouched field ends at
-//! `orig ^ mask` while a rewritten one ends at the golden end value,
-//! and the two coincide only when the golden run itself wrote
-//! `orig ^ mask` — in which case the field *was* written and the
-//! verdict is correct either way.
+//! The written test is unambiguous: an untouched field stays at
+//! `golden ^ mask` while a rewritten one equals golden, and the two
+//! coincide only when the golden run itself wrote `golden ^ mask` — in
+//! which case the field *was* written and the verdict is correct either
+//! way.
 //!
-//! Soundness is not taken on faith: every shadow run asserts the live
-//! trajectory really was undisturbed (a component reporting a live
-//! field as dead fails loudly here), and `PruneMode::Audit` re-runs
-//! every pruned trial exhaustively and asserts the predicted record is
-//! identical. See DESIGN.md "Liveness oracle" for the argument.
+//! Soundness is not taken on faith: at every boundary the shadow asserts
+//! that every field it did not flip equals golden (a component reporting
+//! a live field as dead fails loudly here), that every flipped field is
+//! either rewritten or untouched (never partially written), and at the
+//! end that status, retirement, registers and memory equal golden's.
+//! `PruneMode::Audit` re-runs every pruned trial without the residue cut
+//! and asserts the predicted record is identical. See DESIGN.md
+//! "Liveness oracle" and "Reconvergence cutoff" for the argument.
 
 use crate::classify::SymptomLatencies;
+use crate::planes::{bit, read_bits, set_bit};
 use crate::uarch_campaign::UarchCampaignConfig;
 use crate::uarch_trial::{drain, EndState, GoldenRun, UarchTrial};
-use restore_uarch::state::width_mask;
-use restore_uarch::{
-    CycleReport, DeadStatePerturber, FaultState, OccupancyRecorder, Pipeline, StateCatalog, Stop,
-};
+use restore_uarch::state::{width_mask, FieldClass, StateKind, StateVisitor};
+use restore_uarch::{CycleReport, FaultState, Pipeline, StateCatalog, Stop};
 use restore_workloads::WorkloadId;
 
-/// Per-injection-point liveness verdicts, captured once and shared by
-/// all of the point's trials.
-pub(crate) struct PointOracle {
-    /// Per-field liveness at the injection point, in catalog order.
-    live: Vec<bool>,
-    /// Per-field value at the injection point, in catalog order.
-    orig: Vec<u64>,
-    /// Per-field "rewritten before end of trial" verdict from the shadow
-    /// run; `None` until the first dead draw forces the shadow run.
-    written: Option<Vec<bool>>,
+/// One injection point's written/residue verdicts: for every recorded
+/// boundary `b` and every field `f` dead at `b`, whether `f` is
+/// rewritten before the end of the drain.
+#[derive(Debug)]
+pub(crate) struct ResidueVerdicts {
+    live_words: usize,
+    /// Bit `f` of row `b` is set when the episode covering boundary `b`
+    /// of field `f` closed as written.
+    written: Vec<u64>,
 }
 
-impl PointOracle {
-    /// Records occupancy at the injection point. The visitor only reads,
-    /// so `pipe` is unchanged afterwards.
-    pub(crate) fn capture(pipe: &mut Pipeline) -> PointOracle {
-        let mut rec = OccupancyRecorder::new();
-        pipe.visit_state(&mut rec);
-        PointOracle { live: rec.live, orig: rec.values, written: None }
+impl ResidueVerdicts {
+    /// Whether field `f`, dead at boundary `b`, is rewritten before the
+    /// end of the drain. Boundary 0 is the injection point.
+    pub(crate) fn written(&self, b: usize, f: usize) -> bool {
+        bit(&self.written[b * self.live_words..(b + 1) * self.live_words], f)
     }
 
-    /// The catalog field index of `bit` if the oracle can prune it
-    /// (i.e. the field is occupancy-dead at this point).
-    pub(crate) fn dead_field(&self, catalog: &StateCatalog, bit: u64) -> Option<usize> {
-        debug_assert_eq!(self.live.len(), catalog.fields.len());
-        let f = catalog.field_index_of(bit)?;
-        (!self.live[f]).then_some(f)
-    }
-
-    /// Whether dead field `f` is rewritten before the end of the trial.
-    /// Requires [`PointOracle::ensure_written`] to have run.
-    pub(crate) fn written(&self, f: usize) -> bool {
-        self.written.as_ref().expect("ensure_written must run before predicting")[f]
-    }
-
-    /// Whether this point's shadow run actually happened — the cost the
-    /// interval map exists to avoid.
-    pub(crate) fn shadow_ran(&self) -> bool {
-        self.written.is_some()
-    }
-
-    /// Runs the shadow run once per point: all dead fields flipped
-    /// wholesale, window + drain replayed, and each dead field
-    /// classified as rewritten or untouched. Also asserts, field by
-    /// field, that the perturbed machine's live trajectory matched the
-    /// golden run — the oracle's soundness condition.
-    pub(crate) fn ensure_written(
-        &mut self,
+    /// Runs the point's residue shadow against the golden run's planes
+    /// (see the module docs) and collects its verdicts.
+    pub(crate) fn shadow(
         at: &Pipeline,
         golden: &GoldenRun,
-        catalog: &StateCatalog,
         cfg: &UarchCampaignConfig,
-    ) {
-        if self.written.is_some() {
-            return;
-        }
+    ) -> ResidueVerdicts {
+        let planes = &golden.planes;
+        let (boundaries, live_words) = (planes.boundaries(), planes.live_words());
+        let mut carrying = vec![0u64; live_words];
+        let mut since = vec![0u32; planes.fields()];
+        let mut written = vec![0u64; boundaries * live_words];
+        let mut walk = |shadow: &mut Pipeline, b: usize, plane: &[u64], live: Option<&[u64]>| {
+            let mut ep = Episodes {
+                plane,
+                live,
+                b,
+                pos: 0,
+                field: 0,
+                carrying: &mut carrying,
+                since: &mut since,
+                written: &mut written,
+                live_words,
+            };
+            shadow.visit_state(&mut ep);
+            assert_eq!(ep.field, planes.fields(), "catalog drifted since the golden run");
+        };
+
         let mut shadow = at.clone();
-        let mut perturb = DeadStatePerturber::new(&self.live);
-        shadow.visit_state(&mut perturb);
-        assert_eq!(perturb.visited(), self.live.len(), "catalog drifted since capture");
+        walk(&mut shadow, 0, planes.plane(0), Some(planes.live(0)));
         // Mirror run_trial's window loop and end-of-trial drain exactly:
-        // `written` must describe the state the classifier hashes.
+        // the end verdicts must describe the state the classifier hashes.
+        let stride = cfg.cutoff_stride;
         let mut r = CycleReport::default();
-        for _ in 0..cfg.window_cycles {
+        for i in 0..cfg.window_cycles {
             if shadow.status() != Stop::Running {
                 break;
             }
             shadow.cycle_into(&mut r);
+            if stride > 0 && (i + 1) % stride == 0 {
+                let b = ((i + 1) / stride) as usize;
+                if b < boundaries {
+                    walk(&mut shadow, b, planes.plane(b), Some(planes.live(b)));
+                }
+            }
         }
         drain(&mut shadow, cfg.drain_cycles, &mut r);
 
@@ -128,32 +124,100 @@ impl PointOracle {
             golden.end_mem_hash,
             "dead flips changed memory state"
         );
+        // Closes every open episode: written if the field ends at the
+        // golden end value, residue otherwise.
+        walk(&mut shadow, boundaries, planes.end(), None);
+        ResidueVerdicts { live_words, written }
+    }
+}
 
-        let mut rec = OccupancyRecorder::new();
-        shadow.visit_state(&mut rec);
-        let end = rec.values;
-        assert_eq!(end.len(), golden.end_fields.len(), "golden run lacks end-field values");
-        let written = (0..end.len())
-            .map(|f| {
-                let golden_end = golden.end_fields[f];
-                if self.live[f] {
-                    assert_eq!(
-                        end[f], golden_end,
-                        "live field {f} diverged in the all-dead-bits shadow run"
-                    );
-                    return true;
+/// The residue shadow's per-boundary walk: checks every field against
+/// the golden plane, closes the episodes of rewritten fields, and (when
+/// `live` is given) opens an episode in every dead field not already
+/// carrying a flip.
+struct Episodes<'a> {
+    plane: &'a [u64],
+    live: Option<&'a [u64]>,
+    /// The boundary walked (the boundary count for the end plane).
+    b: usize,
+    pos: u64,
+    field: usize,
+    /// Fields carrying a flip.
+    carrying: &'a mut [u64],
+    /// Boundary each carried flip was made at.
+    since: &'a mut [u32],
+    written: &'a mut [u64],
+    live_words: usize,
+}
+
+impl StateVisitor for Episodes<'_> {
+    fn region(&mut self, _name: &'static str, _kind: StateKind) {}
+    fn word(&mut self, value: &mut u64, width: u32, _class: FieldClass) {
+        let (f, b) = (self.field, self.b);
+        let golden = read_bits(self.plane, self.pos, width);
+        let mask = width_mask(width);
+        if bit(self.carrying, f) {
+            if *value == golden {
+                // Rewritten since the last boundary: the episode covers
+                // every boundary from its flip up to this one.
+                for covered in self.since[f] as usize..b {
+                    let row = covered * self.live_words;
+                    set_bit(&mut self.written[row..row + self.live_words], f);
                 }
-                let untouched = self.orig[f] ^ width_mask(catalog.fields[f].1);
-                assert!(
-                    end[f] == golden_end || end[f] == untouched,
-                    "dead field {f} ended at {:#x}, neither rewritten ({golden_end:#x}) \
-                     nor untouched ({untouched:#x})",
-                    end[f],
+                self.carrying[f / 64] &= !(1 << (f % 64));
+            } else {
+                assert_eq!(
+                    *value,
+                    golden ^ mask,
+                    "dead field {f} was partially rewritten by boundary {b} of the residue shadow"
                 );
-                end[f] == golden_end
-            })
-            .collect();
-        self.written = Some(written);
+            }
+        } else {
+            assert_eq!(
+                *value, golden,
+                "field {f} diverged from golden at boundary {b} of the residue shadow \
+                 (a component reported live state dead)"
+            );
+        }
+        if let Some(live) = self.live {
+            if !bit(self.carrying, f) && !bit(live, f) {
+                *value ^= mask;
+                set_bit(self.carrying, f);
+                self.since[f] = b as u32;
+            }
+        }
+        self.pos += width as u64;
+        self.field += 1;
+    }
+}
+
+/// The ending of a trial whose live future is the golden run's from
+/// some point on — a trial cut at a stride boundary, or a flip into dead
+/// state: the golden run's ending, with `symptoms` back-filled for a
+/// deadlock or exception, and the masked/residue split decided by
+/// `written` (is every field where the trial still differs rewritten
+/// before the end of the drain?), which is consulted only when the
+/// golden run ended halted or running.
+pub(crate) fn golden_ending(
+    golden: &GoldenRun,
+    base_retired: u64,
+    symptoms: &mut SymptomLatencies,
+    written: impl FnOnce() -> bool,
+) -> EndState {
+    match golden.end_status {
+        status @ (Stop::Halted | Stop::Running) => match (written(), status) {
+            (false, _) => EndState::DeadResidue,
+            (true, Stop::Halted) => EndState::Completed,
+            (true, _) => EndState::MaskedClean,
+        },
+        Stop::Deadlock => {
+            symptoms.deadlock.get_or_insert(golden.retired - base_retired);
+            EndState::Terminated
+        }
+        Stop::Exception(_) => {
+            symptoms.exception.get_or_insert(golden.retired - base_retired);
+            EndState::Terminated
+        }
     }
 }
 
@@ -163,23 +227,24 @@ impl PointOracle {
 /// A dead flip cannot produce any symptom of its own — the live
 /// trajectory, retired stream, mispredictions and miss counters are the
 /// golden run's — so every latency stays `None`, the counter deltas are
-/// zero, and the ending depends only on how the golden run ended and
-/// whether the field is rewritten (mirroring the reconvergence cutoff's
-/// back-fill for the terminated cases).
+/// zero, and the ending is [`golden_ending`] with the field's
+/// injection-point verdict.
 pub(crate) fn predict_dead_trial(
     golden: &GoldenRun,
     catalog: &StateCatalog,
     id: WorkloadId,
     bit: u64,
     base_retired: u64,
-    written: bool,
+    written: impl FnOnce() -> bool,
 ) -> UarchTrial {
-    let mut trial = UarchTrial {
+    let mut symptoms = SymptomLatencies::default();
+    let end = golden_ending(golden, base_retired, &mut symptoms, written);
+    UarchTrial {
         workload: id,
         bit,
         region: catalog.region_of(bit).map(|r| r.name).unwrap_or("?"),
         lhf_protected: catalog.lhf_protected(bit),
-        symptoms: SymptomLatencies::default(),
+        symptoms,
         value_divergence: None,
         hc_mispredict: None,
         any_mispredict: None,
@@ -190,22 +255,8 @@ pub(crate) fn predict_dead_trial(
         dup_mismatch: None,
         extra_dcache_misses: 0,
         extra_dtlb_misses: 0,
-        end: EndState::MaskedClean,
-    };
-    trial.end = match (golden.end_status, written) {
-        (Stop::Halted, true) => EndState::Completed,
-        (Stop::Running, true) => EndState::MaskedClean,
-        (Stop::Halted | Stop::Running, false) => EndState::DeadResidue,
-        (Stop::Deadlock, _) => {
-            trial.symptoms.deadlock = Some(golden.retired - base_retired);
-            EndState::Terminated
-        }
-        (Stop::Exception(_), _) => {
-            trial.symptoms.exception = Some(golden.retired - base_retired);
-            EndState::Terminated
-        }
-    };
-    trial
+        end,
+    }
 }
 
 #[cfg(test)]
@@ -226,9 +277,6 @@ mod tests {
             warmup_cycles: 500,
             window_cycles: 1_500,
             drain_cycles: 1_000,
-            // `golden_run` only records end-field values (which
-            // `ensure_written` compares against) when pruning is on.
-            prune: crate::uarch_campaign::PruneMode::Interval,
             ..UarchCampaignConfig::default()
         }
     }
@@ -268,7 +316,7 @@ mod tests {
                 assert_eq!(pipe.status(), Stop::Running, "workload died inside the plan span");
                 pipe.cycle();
             }
-            let run = golden_run(&pipe, &c);
+            let run = golden_run(&pipe, &catalog, &c);
             let map = shared_map();
             let total = catalog.total_bits;
             let start = ((total as f64 - 1.0) * bit_frac) as u64;
@@ -281,19 +329,17 @@ mod tests {
                 return;
             };
 
-            let mut oracle = PointOracle::capture(&mut pipe);
             if proof.dead_at_injection {
                 prop_assert!(
-                    oracle.dead_field(&catalog, bit).is_some(),
+                    run.dead_field(&catalog, bit).is_some(),
                     "map claims bit {} dead at cycle {}; the oracle says live", bit, cycle
                 );
             }
             // When the bit is occupancy-dead, the shadow run's dynamic
             // written/untouched verdict must match the map's.
-            if let Some(f) = oracle.dead_field(&catalog, bit) {
-                oracle.ensure_written(&pipe, &run, &catalog, &c);
+            if let Some(f) = run.dead_field(&catalog, bit) {
                 prop_assert_eq!(
-                    oracle.written(f), proof.written,
+                    run.verdicts(&pipe, &c).written(0, f), proof.written,
                     "map and shadow run disagree on bit {} at cycle {}", bit, cycle
                 );
             }

@@ -12,11 +12,14 @@
 //! Two throughput optimisations ride on the monitor, both result-neutral:
 //!
 //! * the **reconvergence cutoff** ([`UarchCampaignConfig::cutoff_stride`])
-//!   stops a trial at the first stride boundary where its full-machine
-//!   fingerprint ([`Pipeline::fingerprint`]) matches the golden run's —
-//!   the simulator is deterministic, so equal complete state at equal
-//!   cycle means identical futures, and the remaining observables are
-//!   back-filled from the golden record;
+//!   stops a trial at the first stride boundary where it equals the
+//!   golden run — artifact digest ([`Pipeline::artifact_digest`]) and
+//!   every injectable field — or differs from it only in fields the
+//!   occupancy walk marks dead there. The simulator is deterministic,
+//!   so either way the trial's live future is the golden run's: the
+//!   remaining observables are back-filled from the golden record, and
+//!   the point's residue shadow ([`crate::liveness`]) decides whether
+//!   the dead differences are rewritten before the end of the drain;
 //! * **dead-state pruning** ([`UarchCampaignConfig::prune`]) classifies
 //!   flips into provably dead fields from one shared shadow run per
 //!   point ([`crate::liveness`]) without simulating their window at all.
@@ -26,9 +29,9 @@
 use crate::cache::TrialCache;
 use crate::campaign::{self, CampaignIo, FaultModel, PointStats, TrialCost};
 use crate::engine::{effective_ckpt_stride, CampaignStats};
-use crate::liveness::{predict_dead_trial, PointOracle};
+use crate::liveness::predict_dead_trial;
 use crate::seeding::DOMAIN_UARCH;
-use crate::uarch_trial::{draw_bit, golden_run, run_trial, GoldenRun, UarchTrial};
+use crate::uarch_trial::{draw_bit, golden_run, run_trial, GoldenRun, Shortcuts, UarchTrial};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use restore_core::{config_digest, ConfigDigest, DetectorConfig};
@@ -103,11 +106,12 @@ pub struct UarchCampaignConfig {
     /// available parallelism. Results are bit-identical at every thread
     /// count.
     pub threads: usize,
-    /// Cycles between full-machine fingerprint comparisons against the
-    /// golden run; when a trial's fingerprint matches at a boundary its
-    /// future is identical to the golden run's, so the rest of the
-    /// window is skipped and back-filled. `0` disables the cutoff.
-    /// Results are bit-identical either way — only throughput changes.
+    /// Cycles between reconvergence checks against the golden run; when
+    /// a trial equals the golden run at a boundary, or differs from it
+    /// only in dead fields, its live future is the golden run's, so the
+    /// rest of the window is skipped and back-filled. `0` disables both
+    /// cuts. Results are bit-identical either way — only throughput
+    /// changes.
     pub cutoff_stride: u64,
     /// Dead-state pruning: skip simulating trials whose flipped bit the
     /// liveness oracle proves dead at the injection point. Results are
@@ -230,11 +234,11 @@ impl SnapshotMachine for UarchMachine {
     }
 }
 
-/// Per-point golden observation plus the lazily-built liveness oracle
-/// and (in interval mode) the workload's shared masking-interval map.
+/// Per-point golden observation (which carries the lazily-run residue
+/// shadow) plus, in interval mode, the workload's shared
+/// masking-interval map.
 struct UarchGolden {
     run: GoldenRun,
-    oracle: Option<PointOracle>,
     /// The workload's masking-interval map ([`PruneMode::Interval`] and
     /// [`PruneMode::Audit`]). Deliberately *not* carried by
     /// [`UarchMachine`]: machines are cached in the process-wide
@@ -244,8 +248,8 @@ struct UarchGolden {
     /// Trials at this point the map classified statically.
     interval_pruned: u64,
     /// Map-pruned draws whose bit was occupancy-dead at injection —
-    /// exactly the draws that would have forced the oracle's shadow
-    /// run under [`PruneMode::On`].
+    /// exactly the draws that would have forced the residue shadow
+    /// under [`PruneMode::On`].
     interval_dead_draws: u64,
 }
 
@@ -291,17 +295,11 @@ impl FaultModel for UarchModel<'_> {
     }
 
     fn golden(&self, fork: &mut UarchMachine, id: WorkloadId) -> UarchGolden {
-        let run = golden_run(&fork.pipe, self.cfg);
-        // Occupancy capture is cheap; the oracle's shadow run only
-        // happens if a trial actually draws a dead bit the interval map
-        // cannot answer, and its cost lands in trial time where the
-        // work it replaces would have been.
-        let oracle = match self.cfg.prune {
-            PruneMode::Off => None,
-            PruneMode::On | PruneMode::Interval | PruneMode::Audit => {
-                Some(PointOracle::capture(&mut fork.pipe))
-            }
-        };
+        // The residue shadow only runs if a trial needs a verdict (a
+        // dead draw the interval map cannot answer, or a residue cut),
+        // and its cost lands in trial time where the work it replaces
+        // would have been.
+        let run = golden_run(&fork.pipe, &fork.catalog, self.cfg);
         // The map registry memoizes per (workload, digest): the build
         // cost is paid once per process (or loaded from `map_dir`), so
         // fetching per point is an `Arc` clone.
@@ -315,7 +313,7 @@ impl FaultModel for UarchModel<'_> {
                 self.cfg.map_dir.as_deref(),
             )),
         };
-        UarchGolden { run, oracle, map, interval_pruned: 0, interval_dead_draws: 0 }
+        UarchGolden { run, map, interval_pruned: 0, interval_dead_draws: 0 }
     }
 
     fn run_trial(
@@ -325,10 +323,10 @@ impl FaultModel for UarchModel<'_> {
         id: WorkloadId,
         mut rng: StdRng,
     ) -> (Option<UarchTrial>, TrialCost) {
-        let UarchGolden { run, oracle, map, interval_pruned, interval_dead_draws } = golden;
+        let UarchGolden { run, map, interval_pruned, interval_dead_draws } = golden;
         let bit = draw_bit(&mut rng, &fork.catalog, self.cfg.target);
         // Interval pruning: a statically-provable draw never touches
-        // the oracle, so the point's shadow run may never happen.
+        // the oracle, so the point's residue shadow may never run.
         if let Some(map) = map {
             let cycle = fork.pipe.cycles();
             if let Some(p) = map.proves(bit, cycle, cycle + run.window_executed) {
@@ -340,12 +338,20 @@ impl FaultModel for UarchModel<'_> {
                 // untouched and unread through the end-of-trial hash
                 // (residue) — both of the oracle's verdicts, predicted
                 // without its shadow run.
+                let retired = fork.pipe.retired();
                 let predicted =
-                    predict_dead_trial(run, &fork.catalog, id, bit, fork.pipe.retired(), p.written);
+                    predict_dead_trial(run, &fork.catalog, id, bit, retired, || p.written);
                 let pruned_cycles = run.window_executed;
                 if self.cfg.prune == PruneMode::Audit {
-                    let (actual, mut cost) =
-                        run_trial(&fork.pipe, run, &fork.catalog, id, bit, self.cfg, None);
+                    let (actual, mut cost) = run_trial(
+                        &fork.pipe,
+                        run,
+                        &fork.catalog,
+                        id,
+                        bit,
+                        self.cfg,
+                        Shortcuts::ExactCut,
+                    );
                     assert_eq!(
                         actual, predicted,
                         "interval map disagrees with simulation (workload {id:?}, bit {bit}, \
@@ -359,22 +365,18 @@ impl FaultModel for UarchModel<'_> {
                 return (Some(predicted), cost);
             }
         }
-        if let Some(o) = oracle.as_mut() {
-            if o.dead_field(&fork.catalog, bit).is_some() {
-                o.ensure_written(&fork.pipe, run, &fork.catalog, self.cfg);
-            }
-        }
         let (trial, cost) =
-            run_trial(&fork.pipe, run, &fork.catalog, id, bit, self.cfg, oracle.as_ref());
+            run_trial(&fork.pipe, run, &fork.catalog, id, bit, self.cfg, Shortcuts::All);
         (Some(trial), cost)
     }
 
     fn point_stats(&self, golden: &UarchGolden) -> PointStats {
-        let shadow_ran = golden.oracle.as_ref().is_some_and(PointOracle::shadow_ran);
+        let shadow_ran = golden.run.shadow_ran();
         PointStats {
             interval_pruned: golden.interval_pruned,
             shadow_runs: u64::from(shadow_ran),
             shadow_runs_avoided: u64::from(!shadow_ran && golden.interval_dead_draws > 0),
+            residue_cuts: golden.run.residue_cuts(),
         }
     }
 }

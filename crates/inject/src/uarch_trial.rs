@@ -14,14 +14,16 @@
 
 use crate::campaign::TrialCost;
 use crate::classify::{Symptom, SymptomLatencies, UarchCategory};
-use crate::liveness::{predict_dead_trial, PointOracle};
+use crate::liveness::{golden_ending, predict_dead_trial, ResidueVerdicts};
+use crate::planes::{bit, GoldenPlanes, Reconvergence};
 use crate::uarch_campaign::{CfvMode, InjectionTarget, PruneMode, UarchCampaignConfig};
 use rand::rngs::StdRng;
 use rand::Rng;
 use restore_arch::Retired;
 use restore_core::{DetectorSet, Observation, RetiredCompare, SourceSet, SymptomKind};
-use restore_uarch::{CycleReport, FaultState, OccupancyRecorder, Pipeline, StateCatalog, Stop};
+use restore_uarch::{CycleReport, Pipeline, StateCatalog, Stop};
 use restore_workloads::WorkloadId;
+use std::cell::{Cell, OnceCell};
 use std::collections::BTreeSet;
 
 /// How a trial's observation window ended.
@@ -163,7 +165,7 @@ pub(crate) struct GoldenRun {
     pub(crate) end_regs: [u64; 32],
     /// Digest of the end memory image ([`restore_arch::Memory::content_hash`],
     /// the incremental per-page digest: O(pages dirtied since the last
-    /// stride fingerprint), not a walk of the image); keeping the full
+    /// artifact digest), not a walk of the image); keeping the full
     /// golden `Memory` alive per point was the campaign's largest
     /// resident allocation.
     pub(crate) end_mem_hash: u64,
@@ -173,11 +175,13 @@ pub(crate) struct GoldenRun {
     pub(crate) retired: u64,
     dcache_misses: u64,
     dtlb_misses: u64,
-    /// Full-machine fingerprint at each `cutoff_stride` boundary of the
-    /// window (boundary `b` — i.e. after `b * stride` cycles — at index
-    /// `b - 1`); empty when the cutoff is disabled. Recording stops when
-    /// the golden run halts.
-    fingerprints: Vec<u64>,
+    /// Per-boundary records of the window — artifact digest, packed
+    /// plane and live mask at the injection point (boundary 0) and at
+    /// each `cutoff_stride` boundary (boundary `b` is after `b * stride`
+    /// cycles; recording stops when the golden run halts) — plus the
+    /// plane after the drain. Empty when both the cutoff and pruning are
+    /// off.
+    pub(crate) planes: GoldenPlanes,
     /// Window cycles the golden run actually executed (less than
     /// `window_cycles` when the workload halts inside the window). A cut
     /// trial's remaining cycles are counted against this, not the full
@@ -185,10 +189,36 @@ pub(crate) struct GoldenRun {
     /// included, so this is exactly what the exhaustive trial would have
     /// simulated.
     pub(crate) window_executed: u64,
-    /// Per-field end-of-trial values in catalog order (the state the
-    /// classifier hashes), for the liveness oracle's written/untouched
-    /// verdicts. Empty unless pruning is enabled.
-    pub(crate) end_fields: Vec<u64>,
+    /// The point's written/residue verdicts, from the residue shadow the
+    /// first trial that needs one runs.
+    verdicts: OnceCell<ResidueVerdicts>,
+    /// Trials at this point that took the residue cut.
+    residue_cuts: Cell<u64>,
+}
+
+impl GoldenRun {
+    /// The catalog field index of `bit` if the occupancy walk proves
+    /// that field dead at the injection point.
+    pub(crate) fn dead_field(&self, catalog: &StateCatalog, bit_index: u64) -> Option<usize> {
+        let f = catalog.field_index_of(bit_index)?;
+        (!bit(self.planes.live(0), f)).then_some(f)
+    }
+
+    /// The point's residue verdicts, running the residue shadow from
+    /// `at` (the injection point) on first use.
+    pub(crate) fn verdicts(&self, at: &Pipeline, cfg: &UarchCampaignConfig) -> &ResidueVerdicts {
+        self.verdicts.get_or_init(|| ResidueVerdicts::shadow(at, self, cfg))
+    }
+
+    /// Whether this point's residue shadow ran.
+    pub(crate) fn shadow_ran(&self) -> bool {
+        self.verdicts.get().is_some()
+    }
+
+    /// Trials at this point that took the residue cut.
+    pub(crate) fn residue_cuts(&self) -> u64 {
+        self.residue_cuts.get()
+    }
 }
 
 /// Stops fetch and runs until the machine is empty (or `max` cycles),
@@ -216,15 +246,24 @@ fn event_key(retired_before: u64, base_retired: u64, pc: u64) -> (u64, u64) {
     (retired_before.saturating_sub(base_retired), pc)
 }
 
-pub(crate) fn golden_run(at: &Pipeline, cfg: &UarchCampaignConfig) -> GoldenRun {
+pub(crate) fn golden_run(
+    at: &Pipeline,
+    catalog: &StateCatalog,
+    cfg: &UarchCampaignConfig,
+) -> GoldenRun {
     let mut g = at.clone();
     let base_retired = g.retired();
     let mut trace = Vec::new();
     let mut hc = BTreeSet::new();
     let mut all = BTreeSet::new();
     let stride = cfg.cutoff_stride;
-    let mut fingerprints =
-        Vec::with_capacity(cfg.window_cycles.checked_div(stride).unwrap_or(0) as usize);
+    let record = stride > 0 || cfg.prune != PruneMode::Off;
+    let boundaries =
+        if record { 1 + cfg.window_cycles.checked_div(stride).unwrap_or(0) } else { 0 };
+    let mut planes = GoldenPlanes::new(catalog, boundaries as usize);
+    if record {
+        planes.record(&mut g);
+    }
     let mut window_executed = 0u64;
     let mut r = CycleReport::default();
     for i in 0..cfg.window_cycles {
@@ -245,17 +284,13 @@ pub(crate) fn golden_run(at: &Pipeline, cfg: &UarchCampaignConfig) -> GoldenRun 
         }
         trace.extend_from_slice(&r.retired);
         if stride > 0 && (i + 1) % stride == 0 && g.status() == Stop::Running {
-            fingerprints.push(g.fingerprint());
+            planes.record(&mut g);
         }
     }
     drain(&mut g, cfg.drain_cycles, &mut r);
-    let end_fields = if cfg.prune != PruneMode::Off {
-        let mut rec = OccupancyRecorder::new();
-        g.visit_state(&mut rec);
-        rec.values
-    } else {
-        Vec::new()
-    };
+    if record {
+        planes.record_end(&mut g);
+    }
     GoldenRun {
         trace,
         hc_events: hc,
@@ -267,9 +302,10 @@ pub(crate) fn golden_run(at: &Pipeline, cfg: &UarchCampaignConfig) -> GoldenRun 
         retired: g.retired(),
         dcache_misses: g.miss_counters().1,
         dtlb_misses: g.miss_counters().3,
-        fingerprints,
+        planes,
         window_executed,
-        end_fields,
+        verdicts: OnceCell::new(),
+        residue_cuts: Cell::new(0),
     }
 }
 
@@ -281,6 +317,20 @@ pub(crate) fn draw_bit(rng: &mut StdRng, catalog: &StateCatalog, target: Injecti
     }
 }
 
+/// The shortcuts a trial may take instead of simulating its whole
+/// window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Shortcuts {
+    /// Dead-state pruning (when `cfg.prune` asks for it) and both
+    /// reconvergence cuts, exact and residue (when `cfg.cutoff_stride`
+    /// is non-zero).
+    All,
+    /// The exact cut only: the independent reference an audit compares a
+    /// liveness prediction with, which must not consult the residue
+    /// shadow the prediction came from.
+    ExactCut,
+}
+
 pub(crate) fn run_trial(
     at: &Pipeline,
     golden: &GoldenRun,
@@ -288,18 +338,19 @@ pub(crate) fn run_trial(
     id: WorkloadId,
     bit: u64,
     cfg: &UarchCampaignConfig,
-    oracle: Option<&PointOracle>,
+    shortcuts: Shortcuts,
 ) -> (UarchTrial, TrialCost) {
-    if let Some(oracle) = oracle {
-        if let Some(field) = oracle.dead_field(catalog, bit) {
-            let predicted =
-                predict_dead_trial(golden, catalog, id, bit, at.retired(), oracle.written(field));
+    if shortcuts == Shortcuts::All && cfg.prune != PruneMode::Off {
+        if let Some(field) = golden.dead_field(catalog, bit) {
+            let written = || golden.verdicts(at, cfg).written(0, field);
+            let predicted = predict_dead_trial(golden, catalog, id, bit, at.retired(), written);
             // A dead trial's live evolution is the golden run's, so the
             // exhaustive trial would have simulated (or been cut across)
             // exactly the golden run's window cycles.
             let pruned_cycles = golden.window_executed;
             if cfg.prune == PruneMode::Audit {
-                let (actual, mut cost) = run_trial(at, golden, catalog, id, bit, cfg, None);
+                let (actual, mut cost) =
+                    run_trial(at, golden, catalog, id, bit, cfg, Shortcuts::ExactCut);
                 assert_eq!(
                     actual, predicted,
                     "liveness oracle disagrees with simulation (workload {id:?}, bit {bit})"
@@ -344,7 +395,10 @@ pub(crate) fn run_trial(
     let mut terminated = false;
     let stride = cfg.cutoff_stride;
     let mut executed = 0u64;
-    let mut cut = false;
+    // The boundary the trial was cut at, and the dead fields it still
+    // differs from golden in there (none for an exact cut).
+    let mut cut = None;
+    let mut dead = Vec::new();
     let mut r = CycleReport::default();
     for i in 0..cfg.window_cycles {
         if pipe.status() != Stop::Running {
@@ -398,19 +452,23 @@ pub(crate) fn run_trial(
             set.observe(&Observation::Exception { latency: lat_now(&pipe) });
             terminated = true;
         }
-        // Reconvergence check: compare the full-machine fingerprint at
-        // the same boundaries the golden run recorded (`status` is
-        // `Running` at every recorded boundary, so a stopped trial can
-        // never alias one). On a match the two machines are
-        // bit-identical, so the rest of the window replays the golden
-        // run — stop simulating and back-fill below.
-        if stride > 0
-            && (i + 1) % stride == 0
-            && pipe.status() == Stop::Running
-            && golden.fingerprints.get(((i + 1) / stride - 1) as usize) == Some(&pipe.fingerprint())
-        {
-            cut = true;
-            break;
+        // Reconvergence check at the boundaries the golden run recorded
+        // (`status` is `Running` at every recorded boundary, so a
+        // stopped trial can never alias one). An exact match means
+        // identical machines; a match up to dead fields means the live
+        // future is the golden run's. Either way the rest of the window
+        // replays the golden run — stop simulating and back-fill below.
+        if stride > 0 && (i + 1) % stride == 0 && pipe.status() == Stop::Running {
+            let b = ((i + 1) / stride) as usize;
+            let reconverged = match golden.planes.reconverge(b, &mut pipe, &mut dead) {
+                Reconvergence::Exact => true,
+                Reconvergence::DeadOnly => shortcuts == Shortcuts::All,
+                Reconvergence::Diverged => false,
+            };
+            if reconverged {
+                cut = Some(b);
+                break;
+            }
         }
     }
     // Harvest the bank into the record. (A cfv still pending on the
@@ -427,30 +485,30 @@ pub(crate) fn run_trial(
     trial.sig_mismatch = set.first(SymptomKind::Signature);
     trial.dup_mismatch = set.first(SymptomKind::Dup);
 
-    let mut cost = TrialCost { simulated: executed, cut, ..TrialCost::default() };
-    if cut {
+    let mut cost = TrialCost { simulated: executed, cut: cut.is_some(), ..TrialCost::default() };
+    if let Some(b) = cut {
         // Not `window_cycles - executed`: the exhaustive trial would have
         // stopped when the golden run stops (identical futures), so only
         // the golden run's remaining executed cycles are real savings.
         cost.saved = golden.window_executed - executed;
-        // Identical machines have identical futures: the skipped window
-        // cycles and the drain would reproduce the golden run's ending
-        // and its miss counters, so the counter deltas stay zero and the
-        // ending maps from the golden end status. `MaskedClean` (not
-        // `DeadResidue`) is exact — the fingerprint match witnessed that
-        // even dead microarchitectural state is clean.
-        trial.end = match golden.end_status {
-            Stop::Halted => EndState::Completed,
-            Stop::Running => EndState::MaskedClean,
-            Stop::Deadlock => {
-                trial.symptoms.deadlock.get_or_insert(golden.retired - base_retired);
-                EndState::Terminated
+        if !dead.is_empty() {
+            golden.residue_cuts.set(golden.residue_cuts.get() + 1);
+        }
+        // From the cut on the trial's live evolution is the golden
+        // run's: the skipped window cycles and the drain reproduce the
+        // golden run's ending and its miss counters, so the counter
+        // deltas stay zero and the ending maps from the golden end
+        // status. What is left of the fault sits in the dead fields
+        // still differing at the cut (none after an exact match): the
+        // trial ends `DeadResidue` unless the golden future rewrites
+        // every one of them before the end of the drain, which the
+        // point's residue shadow decides.
+        trial.end = golden_ending(golden, base_retired, &mut trial.symptoms, || {
+            dead.is_empty() || {
+                let verdicts = golden.verdicts(at, cfg);
+                dead.iter().all(|&f| verdicts.written(b, f))
             }
-            Stop::Exception(_) => {
-                trial.symptoms.exception.get_or_insert(golden.retired - base_retired);
-                EndState::Terminated
-            }
-        };
+        });
         return (trial, cost);
     }
     trial.end = if terminated {
@@ -508,6 +566,54 @@ mod tests {
         assert_eq!(event_key(5, 10, 0x40), (0, 0x40));
         assert_eq!(event_key(10, 10, 0x40), (0, 0x40));
         assert_eq!(event_key(17, 10, 0x44), (7, 0x44));
+    }
+
+    /// A flip into a physical register the free list proves dead leaves
+    /// the machine equal to golden everywhere except that register. If
+    /// the register is still unwritten at the first stride boundary, the
+    /// trial must stop there with the residue cut, and its record must
+    /// equal the exhaustive one.
+    #[test]
+    fn dead_phys_reg_flip_is_residue_cut_at_the_first_boundary() {
+        use restore_workloads::Scale;
+        let cfg = UarchCampaignConfig {
+            scale: Scale::smoke(),
+            window_cycles: 1_500,
+            drain_cycles: 1_000,
+            // Rename cycles through the free list within a few dozen
+            // cycles, so the first boundary must come early.
+            cutoff_stride: 10,
+            ..UarchCampaignConfig::default()
+        };
+        let exhaustive = UarchCampaignConfig { cutoff_stride: 0, ..cfg.clone() };
+        let id = WorkloadId::Parserx;
+        let mut at = Pipeline::new(cfg.uarch.clone(), &id.build(cfg.scale));
+        for _ in 0..500 {
+            at.cycle();
+        }
+        let catalog = at.catalog();
+        let golden = golden_run(&at, &catalog, &cfg);
+        let reference = golden_run(&at, &catalog, &exhaustive);
+        let regfile = catalog.regions.iter().find(|r| r.name == "phys-regfile").unwrap();
+        // Registers reallocated before the first boundary match golden
+        // exactly there; take the first one still holding the flip.
+        let (trial, cost) = (regfile.start..regfile.start + regfile.len)
+            .step_by(64)
+            .filter(|&bit| golden.dead_field(&catalog, bit).is_some())
+            .find_map(|bit| {
+                let before = golden.residue_cuts();
+                let (trial, cost) =
+                    run_trial(&at, &golden, &catalog, id, bit, &cfg, Shortcuts::All);
+                let residue = golden.residue_cuts() > before;
+                assert!(cost.cut, "a dead flip must reconverge (bit {bit})");
+                (residue && cost.simulated == cfg.cutoff_stride).then_some((trial, cost))
+            })
+            .expect("no dead register was residue-cut at the first boundary");
+        assert_eq!(cost.simulated + cost.saved, golden.window_executed);
+        let (full, full_cost) =
+            run_trial(&at, &reference, &catalog, id, trial.bit, &exhaustive, Shortcuts::All);
+        assert!(!full_cost.cut);
+        assert_eq!(trial, full, "the residue cut changed the record");
     }
 
     #[test]

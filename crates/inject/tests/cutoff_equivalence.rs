@@ -4,15 +4,19 @@
 //! every thread count — the cutoff may only change how many cycles get
 //! simulated, never what a trial reports.
 //!
-//! The full-machine fingerprint makes this sound: equal fingerprints at
-//! a stride boundary mean equal complete machine state, and the
-//! simulator is deterministic, so the remainder of the faulty window is
-//! literally the golden run's remainder (see
+//! Two cuts must both be exact. A trial equal to the golden run in its
+//! artifact digest and every injectable field at a stride boundary is
+//! the golden machine, and the simulator is deterministic, so the rest
+//! of the faulty window is literally the golden run's (see
 //! `crates/uarch/tests/fingerprint_reconvergence.rs` for the
-//! state-level property).
+//! state-level property). A trial that differs only in fields the
+//! occupancy walk marks dead has the golden run's live future, and the
+//! point's residue shadow decides whether those fields are rewritten
+//! before the end of the drain (`MaskedClean`) or not (`DeadResidue`).
 
 use restore_inject::{
-    run_uarch_campaign, run_uarch_campaign_with_stats, InjectionTarget, UarchCampaignConfig,
+    run_uarch_campaign, run_uarch_campaign_with_stats, CampaignStats, EndState, InjectionTarget,
+    UarchCampaignConfig, UarchTrial,
 };
 
 /// Small plan, small window: fast enough to run many times in debug
@@ -31,12 +35,31 @@ fn small_cfg(threads: usize, stride: u64) -> UarchCampaignConfig {
     }
 }
 
+/// The residue cut is only exercised if the exhaustive run has trials
+/// that end with the fault resident in dead state.
+fn assert_has_dead_residue(baseline: &[UarchTrial]) {
+    assert!(
+        baseline.iter().any(|t| t.end == EndState::DeadResidue),
+        "the exhaustive baseline has no DeadResidue trial for the residue cut to end early"
+    );
+}
+
+fn assert_residue_cuts(stats: &CampaignStats, threads: usize) {
+    assert!(
+        stats.trials_residue_cut > 0,
+        "expected some trials to be cut at dead residue at {threads} threads: {stats}"
+    );
+    assert!(stats.trials_residue_cut <= stats.trials_cut, "residue cuts are cuts");
+}
+
 #[test]
 fn cutoff_on_equals_cutoff_off_at_every_thread_count() {
     let (baseline, stats_off) = run_uarch_campaign_with_stats(&small_cfg(1, 0));
     assert!(!baseline.is_empty());
     assert_eq!(stats_off.trials_cut, 0, "stride 0 must disable the cutoff");
+    assert_eq!(stats_off.trials_residue_cut, 0, "stride 0 must disable the residue cut");
     assert_eq!(stats_off.cycles_saved, 0);
+    assert_has_dead_residue(&baseline);
     for threads in [1, 2, 4] {
         let (got, stats_on) = run_uarch_campaign_with_stats(&small_cfg(threads, 100));
         assert_eq!(got, baseline, "cutoff diverged at {threads} threads");
@@ -44,6 +67,7 @@ fn cutoff_on_equals_cutoff_off_at_every_thread_count() {
             stats_on.trials_cut > 0,
             "expected some reconvergent trials to be cut at {threads} threads"
         );
+        assert_residue_cuts(&stats_on, threads);
         assert!(stats_on.cycles_saved > 0);
         assert_eq!(
             stats_on.cycles_simulated + stats_on.cycles_saved,
@@ -61,12 +85,11 @@ fn cutoff_on_equals_cutoff_off_for_latch_campaign() {
     };
     let baseline = run_uarch_campaign(&cfg(1, 0));
     assert!(!baseline.is_empty());
+    assert_has_dead_residue(&baseline);
     for threads in [1, 2, 4] {
-        assert_eq!(
-            run_uarch_campaign(&cfg(threads, 100)),
-            baseline,
-            "latch campaign diverged at {threads} threads"
-        );
+        let (got, stats) = run_uarch_campaign_with_stats(&cfg(threads, 100));
+        assert_eq!(got, baseline, "latch campaign diverged at {threads} threads");
+        assert_residue_cuts(&stats, threads);
     }
 }
 

@@ -64,7 +64,9 @@ fn uarch_interval_equals_off_at_every_thread_count() {
     let (baseline, stats_off) = run_uarch_campaign_with_stats(&small_cfg(1, PruneMode::Off));
     assert!(!baseline.is_empty());
     assert_eq!(stats_off.trials_interval_pruned, 0, "PruneMode::Off must not consult the map");
-    assert_eq!(stats_off.shadow_runs, 0);
+    // Without pruning, a shadow runs only for a residue cut that needs
+    // its verdicts.
+    assert!(stats_off.shadow_runs <= stats_off.trials_residue_cut);
     assert_eq!(stats_off.shadow_runs_avoided, 0);
     for threads in [1, 2, 4] {
         let (got, stats) = run_uarch_campaign_with_stats(&small_cfg(threads, PruneMode::Interval));

@@ -1,8 +1,8 @@
 //! # restore-maskmap — static masking-interval analysis
 //!
-//! The liveness oracle (`restore-inject`'s `PointOracle`) proves bits
-//! dead *dynamically*: one occupancy snapshot plus one shadow run per
-//! injection point. This crate derives the same class of verdict
+//! The liveness oracle (`restore-inject`'s `liveness` module) proves
+//! bits dead *dynamically*: occupancy snapshots of the golden run plus
+//! one residue shadow run per injection point. This crate derives the same class of verdict
 //! *statically over whole cycle ranges*, from a single instrumented
 //! golden run per `(workload, configuration)`:
 //!
@@ -58,7 +58,7 @@
 //! The arch map needs no axiom at all: `Inst::sources` /
 //! `Retired::reg_write` are the complete architectural read/write sets.
 //! Both maps are cross-checked three ways — against the dynamic
-//! `PointOracle` wherever both apply (proptest), against the audit bit
+//! liveness oracle wherever both apply (proptest), against the audit bit
 //! census ([`UarchMaskMap::census_check`]), and by `--prune audit` full
 //! re-simulation of every map-pruned trial.
 //!
@@ -601,7 +601,7 @@ impl Shape {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MapPrune {
     /// The bit's occupancy group was dead at the injection cycle itself —
-    /// exactly the case the dynamic `PointOracle` would have classified
+    /// exactly the case the dynamic liveness oracle would have classified
     /// as a dead draw and paid a shadow run to resolve. `false` means
     /// the bit was live but mask-covered (a verdict the oracle cannot
     /// reach at all).

@@ -38,7 +38,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use restore_uarch::{Pipeline, Stop, UarchConfig};
+use restore_uarch::{CycleReport, Pipeline, Stop, UarchConfig};
 use restore_workloads::{Scale, WorkloadId};
 
 /// Fault-free execution profile of one workload on the pipeline.
@@ -80,11 +80,12 @@ pub fn profile_workload(
     let mut pipe = Pipeline::new(uarch.clone(), &program);
     let mut mispredicts = 0u64;
     let mut symptoms = Vec::new();
+    let mut r = CycleReport::default();
     for _ in 0..max_cycles {
         if pipe.status() != Stop::Running {
             break;
         }
-        let r = pipe.cycle();
+        pipe.cycle_into(&mut r);
         for m in &r.mispredicts {
             if m.conditional {
                 mispredicts += 1;

@@ -1708,51 +1708,73 @@ impl Pipeline {
     }
 
     /// Full-machine fingerprint: a digest of *everything* that can steer
-    /// the machine's future evolution, folded in this order:
-    ///
-    /// 1. the injectable latch/RAM state ([`Pipeline::state_hash`]),
-    /// 2. the simulation-artifact fields `visit_state` skips — uop ages,
-    ///    latency timestamps, prediction snapshots and the BOB's
-    ///    recovery checkpoints,
-    /// 3. predictors and the memory-dependence table,
-    /// 4. caches and TLBs, including their access/miss counters (the
-    ///    §3.3 symptom observables),
-    /// 5. memory, via [`restore_arch::Memory::fingerprint`]'s incremental
-    ///    per-page digest (O(pages stored to since the last call)),
-    /// 6. bookkeeping scalars (cycle, sequence counter, retirement
-    ///    state, fetch/stall control).
+    /// the machine's future evolution — the injectable latch/RAM state
+    /// ([`Pipeline::state_hash`]) followed by everything else
+    /// ([`Pipeline::artifact_digest`]).
     ///
     /// The `output` log is the one deliberate exclusion: the machine
     /// never reads it back, so it cannot influence evolution, and
     /// campaigns observe results through registers, memory and the
     /// retired stream rather than through it. With that caveat, equal
     /// fingerprints at the same cycle mean identical futures in this
-    /// deterministic simulator — the property the fault-injection
-    /// campaign's reconvergence cutoff (`cutoff_stride`) relies on to
-    /// stop a trial early and back-fill the rest from the golden run.
+    /// deterministic simulator — the property checkpoint restores are
+    /// verified with.
     pub fn fingerprint(&mut self) -> u64 {
         let mut f = crate::state::Fingerprint::new();
         f.mix(self.state_hash());
+        self.digest_artifacts(&mut f);
+        f.finish()
+    }
+
+    /// Digest of everything that can steer the machine's evolution
+    /// *except* the injectable state `visit_state` walks, folded in this
+    /// order:
+    ///
+    /// 1. the simulation-artifact fields `visit_state` skips — uop ages,
+    ///    latency timestamps, prediction snapshots and the BOB's
+    ///    recovery checkpoints,
+    /// 2. predictors and the memory-dependence table,
+    /// 3. caches and TLBs, including their access/miss counters (the
+    ///    §3.3 symptom observables),
+    /// 4. memory, via [`restore_arch::Memory::fingerprint`]'s incremental
+    ///    per-page digest (O(pages stored to since the last call)),
+    /// 5. bookkeeping scalars (cycle, sequence counter, retirement
+    ///    state, fetch/stall control) and the stop status.
+    ///
+    /// Two machines with equal artifact digests and equal injectable
+    /// fields are identical (up to `output`, as for
+    /// [`Pipeline::fingerprint`]). The fault-injection campaign's
+    /// reconvergence cutoff (`cutoff_stride`) checks this digest first
+    /// and compares injectable fields one by one only when it matches,
+    /// so it can tell a trial that differs only in dead state from one
+    /// that differs in live state.
+    pub fn artifact_digest(&mut self) -> u64 {
+        let mut f = crate::state::Fingerprint::new();
+        self.digest_artifacts(&mut f);
+        f.finish()
+    }
+
+    fn digest_artifacts(&mut self, f: &mut crate::state::Fingerprint) {
         for e in self.fq.raw_slots() {
-            e.digest_artifacts(&mut f);
+            e.digest_artifacts(f);
         }
         for d in &self.dec {
-            d.e.digest_artifacts(&mut f);
+            d.e.digest_artifacts(f);
         }
         for s in &self.sched {
-            s.digest_artifacts(&mut f);
+            s.digest_artifacts(f);
         }
         for e in &self.exec {
-            e.digest_artifacts(&mut f);
+            e.digest_artifacts(f);
         }
         for e in self.rob.raw_slots() {
-            e.digest_artifacts(&mut f);
+            e.digest_artifacts(f);
         }
         for e in self.ldq.raw_slots() {
-            e.digest_artifacts(&mut f);
+            e.digest_artifacts(f);
         }
         for e in self.stq.raw_slots() {
-            e.digest_artifacts(&mut f);
+            e.digest_artifacts(f);
         }
         for b in self.bob.raw_slots() {
             // visit_state walks only the RAT snapshot; the rest of the
@@ -1762,15 +1784,15 @@ impl Pipeline {
             f.mix(b.ras_top as u64);
             f.mix(b.seq);
         }
-        self.bpred.digest(&mut f);
-        self.btb.digest(&mut f);
-        self.ras.digest(&mut f);
-        self.jrs.digest(&mut f);
-        self.memdep.digest(&mut f);
-        self.icache.digest(&mut f);
-        self.dcache.digest(&mut f);
-        self.itlb.digest(&mut f);
-        self.dtlb.digest(&mut f);
+        self.bpred.digest(f);
+        self.btb.digest(f);
+        self.ras.digest(f);
+        self.jrs.digest(f);
+        self.memdep.digest(f);
+        self.icache.digest(f);
+        self.dcache.digest(f);
+        self.itlb.digest(f);
+        self.dtlb.digest(f);
         f.mix(self.mem.fingerprint());
         f.mix(self.cycle);
         f.mix(self.seq_counter);
@@ -1788,7 +1810,6 @@ impl Pipeline {
             Stop::Deadlock => 2,
             Stop::Halted => 3,
         });
-        f.finish()
     }
 }
 
